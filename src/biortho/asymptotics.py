@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import ScopeError
+from .errors import InputError, ScopeError
 from .numerics import fit_loglog_slope
 from .phase import saddle_data, x_of_theta
 from .polys import Params, eval_biortho
@@ -70,7 +70,7 @@ def darboux_biortho(p: Params, n: int, theta: float,
             f"darboux_biortho is proven only for alpha >= 1 (got alpha="
             f"{p.alpha}); pass allow_unproven=True to evaluate anyway")
     if n != int(n) or n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n!r}")
+        raise InputError(f"degree must be a positive integer, got {n!r}")
     scaled_value, _, _, log_rho = _leading_parts(p, int(n), theta)
     return math.exp(n * log_rho) * scaled_value
 
@@ -78,11 +78,11 @@ def darboux_biortho(p: Params, n: int, theta: float,
 def darboux_classical(a: float, b: float, n: int, theta: float) -> float:
     """Classical Jacobi leading term with N = n + (a+b+1)/2."""
     if not (a > -1.0 and b > -1.0):
-        raise ValueError("darboux_classical requires a, b > -1")
+        raise InputError("darboux_classical requires a, b > -1")
     if n != int(n) or n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n!r}")
+        raise InputError(f"degree must be a positive integer, got {n!r}")
     if not (0.0 < theta < math.pi):
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+        raise InputError(f"theta must lie in (0, pi), got {theta!r}")
     big_n = n + 0.5 * (a + b + 1.0)
     return (math.sin(0.5 * theta) ** (-a - 0.5)
             * math.cos(0.5 * theta) ** (-b - 0.5)
@@ -135,10 +135,10 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
             "convergence_table compares against the alpha >= 1 formula; "
             "pass allow_unproven=True for exploratory alpha < 1 runs")
     if reference_mode not in ("exact", "contour", "auto"):
-        raise ValueError(f"unknown reference_mode {reference_mode!r}")
+        raise InputError(f"unknown reference_mode {reference_mode!r}")
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+        raise InputError("n_list must be strictly increasing")
     rows = []
     for n in n_list:
         scaled_asym, scaled_env, ratio, log_rho = _leading_parts(p, n, theta)

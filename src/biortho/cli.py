@@ -8,9 +8,10 @@ Subcommands:
   contour-dump  plot data: contour points, T-profiles, or the saddle
                 partition of the contour
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 scope error (alpha < 1 asymptotics without --allow-unproven),
-4 numerical failure.
+Exit codes, chosen by exception type: 0 success, 1 verification failure,
+2 usage, input or config error (InputError, OSError, argparse), 3 scope
+error (ScopeError: alpha < 1 asymptotics without --allow-unproven),
+4 numerical failure (ConvergenceError or any other ValueError).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import List, Optional
 from . import __version__
 from .asymptotics import convergence_table, darboux_biortho
 from .config import RunConfig, load_config
-from .errors import ConvergenceError, ScopeError
+from .errors import ConvergenceError, InputError, ScopeError
 from .phase import contour_point, t_modulus, theta_of_x, x_of_theta
 from .polys import Params, eval_biortho
 from .quadrature import rodrigues_contour_eval
@@ -39,10 +40,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SCOPE = 3
 EXIT_NUMERICAL = 4
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None,
                         help="config file of key = value lines "
                              "(default: $BIORTHO_CONFIG)")
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for long sweeps")
 
     sp = sub.add_parser("eval", help="evaluate one polynomial value")
     sp.add_argument("--alpha", type=float, required=True)
@@ -82,6 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a certification suite")
     sp.add_argument("--suite", default="all", choices=SUITE_NAMES)
     sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                    help="worker processes for --suite all")
     add_common(sp)
 
     sp = sub.add_parser("table", help="convergence table with rate fit")
@@ -118,7 +115,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _check_format(args, expected: str) -> None:
     if args.format is not None and args.format != expected:
-        raise _UsageError(
+        raise InputError(
             f"command '{args.command}' emits {expected}, not {args.format}")
 
 
@@ -132,7 +129,7 @@ def _json_line(record: dict) -> str:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     if (args.x is None) == (args.theta is None):
-        raise _UsageError("provide exactly one of --x / --theta")
+        raise InputError("provide exactly one of --x / --theta")
     p = Params(args.alpha, args.a, args.b)
     bisect_tol = config.tolerances["bisect_tol"]
     inputs = {"alpha": args.alpha, "a": args.a, "b": args.b, "n": args.n,
@@ -205,26 +202,20 @@ def _parse_dyadic(text: str):
         lo, hi = text.split("..", 1)
         k0, k1 = int(lo), int(hi)
     except ValueError as exc:
-        raise _UsageError(f"bad --n-dyadic {text!r}; expected K0..K1") from exc
+        raise InputError(f"bad --n-dyadic {text!r}; expected K0..K1") from exc
     if not (k1 > k0 >= 3):
-        raise _UsageError("--n-dyadic requires K1 > K0 >= 3")
+        raise InputError("--n-dyadic requires K1 > K0 >= 3")
     return [2 ** k for k in range(k0, k1 + 1)]
 
 
 def _cmd_table(args, config: RunConfig) -> int:
     p = Params(args.alpha, args.a, args.b)
     n_list = _parse_dyadic(args.n_dyadic)
-    try:
-        report = convergence_table(
-            p, args.theta, n_list, args.reference,
-            contour_tol=config.tolerances["contour_tol"],
-            envelope_threshold=config.tolerances["envelope_threshold"],
-            allow_unproven=args.allow_unproven)
-    except ValueError as exc:
-        if "envelope-kept" in str(exc):
-            sys.stderr.write(f"biortho table: {exc}\n")
-            return EXIT_NUMERICAL
-        raise
+    report = convergence_table(
+        p, args.theta, n_list, args.reference,
+        contour_tol=config.tolerances["contour_tol"],
+        envelope_threshold=config.tolerances["envelope_threshold"],
+        allow_unproven=args.allow_unproven)
     lines = ["n,reference,asymptotic,abs_err,rel_err,envelope_ok"]
     for row in report.rows:
         lines.append(f"{row.n},{row.reference!r},{row.asymptotic!r},"
@@ -242,7 +233,7 @@ def _cmd_table(args, config: RunConfig) -> int:
 def _cmd_contour_dump(args, config: RunConfig) -> int:
     p = Params(args.alpha, 0.0, 0.0)
     if args.points < 2:
-        raise _UsageError("--points must be >= 2")
+        raise InputError("--points must be >= 2")
     lines: List[str] = []
     if args.what == "contour":
         lines.append("phi,re_xi,im_xi")
@@ -252,16 +243,19 @@ def _cmd_contour_dump(args, config: RunConfig) -> int:
             lines.append(f"{phi!r},{cp.xi.real!r},{cp.xi.imag!r}")
     elif args.what == "T":
         if args.theta is None:
-            raise _UsageError("--what T requires --theta")
+            raise InputError("--what T requires --theta")
         lines.append("phi,T")
         for i in range(args.points):
             phi = (i + 1) * _PI / (args.points + 1)
             lines.append(f"{phi!r},{t_modulus(p, args.theta, phi)!r}")
     else:
         if args.theta is None or args.n is None:
-            raise _UsageError("--what partition requires --theta and --n")
+            raise InputError("--what partition requires --theta and --n")
+        if not (0.0 < args.theta < _PI and args.n >= 1):
+            raise InputError("--what partition requires --theta in (0, pi) "
+                             "and --n >= 1")
         if not (0.0 < args.delta < 0.5):
-            raise _UsageError("--delta must lie in (0, 0.5)")
+            raise InputError("--delta must lie in (0, 0.5)")
         half_width = float(args.n) ** (-0.5 + args.delta)
         lo, hi = args.theta - half_width, args.theta + half_width
         lines.append("phi,re_xi,im_xi,segment")
@@ -295,34 +289,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_table(args, config)
         _check_format(args, "csv")
         return _cmd_contour_dump(args, config)
-    except _UsageError as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"biortho: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        # parameter/domain errors from validation are usage errors; anything
-        # raised mid-computation is a numerical failure
-        message = str(exc)
-        sys.stderr.write(f"biortho: {message}\n")
-        if isinstance(exc, OSError) or "config" in message or "unknown" in message:
-            return EXIT_USAGE
-        return _classify_value_error(message)
     except ScopeError as exc:
         sys.stderr.write(f"biortho: {exc}\n")
         return EXIT_SCOPE
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError) as exc:
         sys.stderr.write(f"biortho: {exc}\n")
         return EXIT_NUMERICAL
-
-
-_USAGE_MARKERS = (
-    "must be", "requires", "expected", "got", "need", "choose from",
-)
-
-
-def _classify_value_error(message: str) -> int:
-    if any(marker in message for marker in _USAGE_MARKERS):
-        return EXIT_USAGE
-    return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

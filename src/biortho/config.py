@@ -1,8 +1,8 @@
 """Run configuration: every tolerance and grid constant in one place.
 
 Values can be overridden by a config file of `key = value` lines (path via
---config or the BIORTHO_CONFIG environment variable) and by CLI flags, with
-precedence CLI flag > config file > default.  Unknown keys are rejected.
+--config or the BIORTHO_CONFIG environment variable).  Unknown keys and
+values that do not parse as the key's type are rejected with InputError.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict
+
+from .errors import InputError
 
 # Tolerances
 #   quad_tol            relative target of the double-exponential rule
@@ -54,24 +56,32 @@ class RunConfig:
         grids = dict(self.grids)
         for key, raw in overrides.items():
             if key in _FLOAT_KEYS:
-                tolerances[key] = float(raw)
+                target, kind = tolerances, float
             elif key in _INT_KEYS:
-                grids[key] = int(raw)
+                target, kind = grids, int
             else:
-                raise ValueError(f"unknown config key {key!r}")
+                raise InputError(f"unknown config key {key!r}")
+            try:
+                target[key] = kind(raw)
+            except ValueError:
+                raise InputError(f"config value {raw!r} of {key!r} is not "
+                                 f"a valid {kind.__name__}") from None
         return RunConfig(tolerances=tolerances, grids=grids)
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
     """Read `key = value` lines; blank lines and '#' comments are ignored."""
     overrides: Dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
         overrides[key] = value
     return overrides

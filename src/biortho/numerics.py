@@ -1,9 +1,9 @@
 """Scalar and double-width numeric kernels shared by all modules.
 
-Provides log-Gamma, principal-branch complex powers, compensated (Neumaier)
-and pair-arithmetic summation, bracketed bisection, Richardson-extrapolated
-central finite differences, least-squares slope fitting, and a small set of
-vectorized double-double primitives used by the polynomial evaluators.
+Provides log-Gamma, principal-branch complex powers, bracketed bisection,
+Richardson-extrapolated central finite differences, least-squares slope
+fitting, and a small set of vectorized double-double primitives used by the
+polynomial evaluators.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Accumulator",
     "complex_pow_principal",
-    "compensated_sum",
     "fd_derivative",
     "find_root_bisect",
     "fit_loglog_slope",
@@ -71,62 +69,6 @@ def complex_pow_principal(z: complex, p: float) -> complex:
             return 0.0 + 0.0j
         raise ValueError("complex_pow_principal: zero base with p <= 0")
     return cmath.exp(p * cmath.log(z))
-
-
-# ---------------------------------------------------------------------------
-# error-free transforms and pair arithmetic (scalar)
-# ---------------------------------------------------------------------------
-
-def _two_sum(a: float, b: float) -> Tuple[float, float]:
-    # Knuth two-sum: a + b = s + e exactly.
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def _fast_two_sum(a: float, b: float) -> Tuple[float, float]:
-    # valid when |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-class Accumulator:
-    """Running sum held as an unevaluated hi/lo pair (double-width).
-
-    Adding values in any order perturbs the result by at most a few ulps of
-    the exact sum; used to tame the cancellation of alternating series.
-    """
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, value: float = 0.0):
-        self.hi = float(value)
-        self.lo = 0.0
-
-    def add(self, x: float) -> "Accumulator":
-        s, e = _two_sum(self.hi, x)
-        e += self.lo
-        self.hi, self.lo = _fast_two_sum(s, e)
-        return self
-
-    def value(self) -> float:
-        return self.hi + self.lo
-
-
-def compensated_sum(terms: Iterable[float]) -> float:
-    """Neumaier-compensated sum; error stays at the ulp level regardless of
-    term count."""
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        t = float(t)
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp
 
 
 def find_root_bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -240,13 +182,6 @@ def dd_add(xh, xl, yh, yl):
     return rh, te - (rh - sh)
 
 
-def dd_add_float(xh, xl, y):
-    sh, se = dd_two_sum(xh, y)
-    te = xl + se
-    rh = sh + te
-    return rh, te - (rh - sh)
-
-
 def dd_mul(xh, xl, yh, yl):
     ph, pe = _dd_two_prod(xh, yh)
     pe = pe + (xh * yl + xl * yh)
@@ -262,13 +197,6 @@ def dd_div(xh, xl, yh, yl):
     q2 = (rh + rl) / yh
     s = q1 + q2
     return s, q2 - (s - q1)
-
-
-def dd_from_int(k: int):
-    """Exact double-double representation of a (possibly large) integer."""
-    hi = float(k)
-    lo = float(k - int(hi))
-    return hi, lo
 
 
 def dd_sum(hs: np.ndarray, ls: np.ndarray, axis: int = 0):

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import find_root_bisect
+from .errors import InputError
+from .numerics import complex_pow_principal, find_root_bisect
 from .polys import Params
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "StructureBundle",
     "contour_point",
     "d_of_phi",
-    "delta_of_phi",
     "f_at_saddle",
     "f_phase",
     "f_prime",
@@ -57,14 +57,14 @@ _PI = math.pi
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha!r}")
+        raise InputError(f"alpha must be > 0, got {alpha!r}")
     return alpha
 
 
 def _check_angle_open(t: float, name: str = "angle") -> float:
     t = float(t)
     if not (0.0 < t < _PI):
-        raise ValueError(f"{name} must lie in (0, pi), got {t!r}")
+        raise InputError(f"{name} must lie in (0, pi), got {t!r}")
     return t
 
 
@@ -91,7 +91,11 @@ def theta_major(alpha: float, t: float) -> float:
         return 0.0
     if t == _PI:
         return 1.0
-    _check_angle_open(t)
+    return _theta_major(alpha, _check_angle_open(t))
+
+
+def _theta_major(alpha: float, t: float) -> float:
+    # theta_major for an already checked alpha > 0 and t in (0, pi)
     v = _PI - t
     return _sin_angle(t, v) / ((1.0 + alpha) * math.sin(v / (1.0 + alpha)))
 
@@ -132,7 +136,7 @@ def theta_of_x(p: Params, x: float, tol: float = 1e-12) -> float:
     """Inverse of x_of_theta by bisection (licensed by strict monotonicity)."""
     x = float(x)
     if not (-1.0 < x < 1.0):
-        raise ValueError(f"theta_of_x requires x in (-1, 1), got {x!r}")
+        raise InputError(f"theta_of_x requires x in (-1, 1), got {x!r}")
     return find_root_bisect(lambda t: x_of_theta(p, t) - x, 0.0, _PI, tol)
 
 
@@ -148,8 +152,27 @@ def t_of_theta(p: Params, theta: float) -> float:
 
 
 def _s_value(alpha: float, t: float) -> float:
-    # s(t) = theta_major(1/alpha, t)^alpha * theta_major(alpha, t)
-    return theta_major(1.0 / alpha, t) ** alpha * theta_major(alpha, t)
+    # s(t) = theta_major(1/alpha, t)^alpha * theta_major(alpha, t), t checked
+    return _theta_major(1.0 / alpha, t) ** alpha * _theta_major(alpha, t)
+
+
+def _frame(alpha: float, phi: float):
+    """Upper-branch quantities at phi that every contour function reads.
+
+    Returns (big, y, z, cos y, upper) with big = theta_major(1/alpha, phi),
+    y = (pi-phi)/(1+alpha), z = alpha*y and upper = e^{iy} - big, whose
+    imaginary part is sin y (> 0 on (0, pi)).  phi must already be checked.
+    """
+    big = _theta_major(1.0 / alpha, phi)
+    y = (_PI - phi) / (1.0 + alpha)
+    cy = math.cos(y)
+    return big, y, alpha * y, cy, complex(cy - big, math.sin(y))
+
+
+def _xi_prime(alpha: float, phi: float, big: float, z: float) -> complex:
+    prime = theta_major_prime(1.0 / alpha, phi)
+    return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
+            * cmath.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,7 @@ def contour_point(p: Params, phi: float) -> ContourPoint:
     """
     phi = float(phi)
     if not (-_PI <= phi <= _PI):
-        raise ValueError(f"phi must lie in [-pi, pi], got {phi!r}")
+        raise InputError(f"phi must lie in [-pi, pi], got {phi!r}")
     if phi == 0.0:
         return ContourPoint(phi, 1.0 + 0.0j, None)
     if abs(phi) == _PI:  # +pi names the same contour point as -pi
@@ -180,28 +203,9 @@ def contour_point(p: Params, phi: float) -> ContourPoint:
         prime = None if up.xi_prime is None else -up.xi_prime.conjugate()
         return ContourPoint(phi, up.xi.conjugate(), prime)
     alpha = p.alpha
-    big = theta_major(1.0 / alpha, phi)
-    z = alpha * (_PI - phi) / (1.0 + alpha)  # (pi - phi)/(1 + 1/alpha)
+    big, _, z, _, _ = _frame(alpha, phi)
     xi = 1.0 - 2.0 * big ** alpha * cmath.exp(-1j * z)
-    xi_prime = _xi_prime_upper(alpha, phi, big, z)
-    return ContourPoint(phi, xi, xi_prime)
-
-
-def _xi_prime_upper(alpha: float, phi: float, big: float, z: float) -> complex:
-    prime = theta_major_prime(1.0 / alpha, phi)
-    return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
-            * cmath.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
-
-
-def _f_parts(alpha: float, theta: float, phi: float):
-    """Shared pieces of the integrand at (theta, phi) on the upper branch."""
-    big = theta_major(1.0 / alpha, phi)
-    y = (_PI - phi) / (1.0 + alpha)
-    z = alpha * y
-    upper = complex(math.cos(y) - big, math.sin(y))  # e^{iy} - Theta, Im > 0
-    s_theta = _s_value(alpha, theta)
-    den = big ** alpha * cmath.exp(-1j * z) - s_theta  # Im < 0 on (0, pi)
-    return big, y, z, upper, s_theta, den
+    return ContourPoint(phi, xi, _xi_prime(alpha, phi, big, z))
 
 
 def f_phase(p: Params, theta: float, phi: float) -> complex:
@@ -216,7 +220,8 @@ def f_phase(p: Params, theta: float, phi: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     phi = _check_angle_open(phi, "phi")
     alpha = _check_alpha(p.alpha)
-    big, y, z, upper, s_theta, den = _f_parts(alpha, theta, phi)
+    big, _, z, _, upper = _frame(alpha, phi)
+    den = big ** alpha * cmath.exp(-1j * z) - _s_value(alpha, theta)  # Im < 0
     if den == 0:
         raise ValueError("f_phase: integrand pole hit (xi(phi) == t(theta))")
     re = alpha * math.log(big) + math.log(abs(upper)) - math.log(abs(den))
@@ -230,26 +235,18 @@ def g_amplitude(p: Params, theta: float, phi: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     phi = _check_angle_open(phi, "phi")
     alpha, a, b = p.alpha, p.a, p.b
-    big, y, z, upper, s_theta, den = _f_parts(alpha, theta, phi)
+    big, y, z, _, upper = _frame(alpha, phi)
+    big_t = _theta_major(1.0 / alpha, theta)
+    small_t = _theta_major(alpha, theta)
+    den = big ** alpha * cmath.exp(-1j * z) - big_t ** alpha * small_t
     if den == 0:
         raise ValueError("g_amplitude: integrand pole hit")
-    big_t = theta_major(1.0 / alpha, theta)
-    small_t = theta_major(alpha, theta)
     ratio = (big / big_t) ** (a + 1.0 - alpha)
     phase = cmath.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
-    upper_b = _cpow(upper, b)
+    upper_b = complex_pow_principal(upper, b)
     base_b = (1.0 - big_t * small_t ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
-    xi_prime = _xi_prime_upper(alpha, phi, big, z)
-    return (ratio * phase * upper_b * xi_prime
+    return (ratio * phase * upper_b * _xi_prime(alpha, phi, big, z)
             / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den))
-
-
-def _cpow(zv: complex, p: float) -> complex:
-    if zv == 0:
-        if p > 0:
-            return 0j
-        raise ValueError("zero base with non-positive exponent")
-    return cmath.exp(p * cmath.log(zv))
 
 
 def t_modulus(p: Params, theta: float, phi: float) -> float:
@@ -257,12 +254,10 @@ def t_modulus(p: Params, theta: float, phi: float) -> float:
     theta = _check_angle_open(theta, "theta")
     phi = _check_angle_open(phi, "phi")
     alpha = p.alpha
-    big = theta_major(1.0 / alpha, phi)
-    y = (_PI - phi) / (1.0 + alpha)
-    z = alpha * y
+    big, _, z, cy, _ = _frame(alpha, phi)
     s_theta = _s_value(alpha, theta)
     k = big ** (2.0 * alpha)
-    l = 1.0 + big * big - 2.0 * big * math.cos(y)
+    l = 1.0 + big * big - 2.0 * big * cy
     den = k - 2.0 * s_theta * big ** alpha * math.cos(z) + s_theta * s_theta
     return k * l / den
 
@@ -277,16 +272,17 @@ def f_prime(p: Params, theta: float, phi: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     phi = _check_angle_open(phi, "phi")
     alpha = p.alpha
-    big, y, z, upper, s_theta, den = _f_parts(alpha, theta, phi)
-    small = theta_major(alpha, phi)
+    big, y, z, _, _ = _frame(alpha, phi)
+    s_theta = _s_value(alpha, theta)
+    small = _theta_major(alpha, phi)
     s_phi = big ** alpha * small
     upp = -2.0 * (big / small) * (s_phi - s_theta) * cmath.exp(-1j * (_PI - phi))
-    one_minus_xi = 2.0 * big ** alpha * cmath.exp(-1j * z)
-    xi_minus_t = -2.0 * den
-    low = alpha * one_minus_xi * (1.0 - big * cmath.exp(-1j * y)) * xi_minus_t
+    head = big ** alpha * cmath.exp(-1j * z)  # (1 - xi) / 2
+    low = (alpha * (2.0 * head) * (1.0 - big * cmath.exp(-1j * y))
+           * (-2.0 * (head - s_theta)))
     if low == 0:
         raise ValueError("f_prime: denominator vanished")
-    return upp / low * _xi_prime_upper(alpha, phi, big, z)
+    return upp / low * _xi_prime(alpha, phi, big, z)
 
 
 @dataclass(frozen=True)
@@ -305,32 +301,36 @@ def f_at_saddle(p: Params, theta: float) -> complex:
     return complex(math.log(sine_ratio(p.alpha, theta)), theta)
 
 
+def _saddle_factors(p: Params, theta: float):
+    """The frame at phi = theta plus the factors shared by g and M there:
+    lower = e^{iz} - theta_major(alpha, theta) and the three real
+    denominator factors Theta_alpha^((a+1)/alpha-1), ((1+x)/2)^b, |lower|^2."""
+    alpha, a, b = p.alpha, p.a, p.b
+    big, y, z, _, upper = _frame(alpha, theta)
+    small = _theta_major(alpha, theta)
+    cz = math.cos(z)
+    lower = complex(cz - small, math.sin(z))
+    dens = (small ** ((a + 1.0) / alpha - 1.0),
+            (1.0 - big * small ** (1.0 / alpha)) ** b,
+            1.0 + small * small - 2.0 * small * cz)
+    return big, y, z, upper, lower, dens
+
+
 def g_at_saddle(p: Params, theta: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     alpha, a, b = p.alpha, p.a, p.b
-    big = theta_major(1.0 / alpha, theta)
-    small = theta_major(alpha, theta)
-    y = (_PI - theta) / (1.0 + alpha)
-    z = alpha * y
-    upper = complex(math.cos(y) - big, math.sin(y))
-    lower = complex(math.cos(z) - small, math.sin(z))  # e^{iz} - Theta_alpha
-    xi_prime = _xi_prime_upper(alpha, theta, big, z)
+    big, y, z, upper, lower, (d1, d2, d3) = _saddle_factors(p, theta)
     num = (cmath.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
-           * _cpow(upper, b) * lower * xi_prime)
-    den = (2.0 * big ** alpha * small ** ((a + 1.0) / alpha - 1.0)
-           * (1.0 - big * small ** (1.0 / alpha)) ** b
-           * (1.0 + small * small - 2.0 * small * math.cos(z)))
-    return num / den
+           * complex_pow_principal(upper, b) * lower
+           * _xi_prime(alpha, theta, big, z))
+    return num / (2.0 * big ** alpha * d1 * d2 * d3)
 
 
 def f_second_at_saddle(p: Params, theta: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     alpha = p.alpha
-    big = theta_major(1.0 / alpha, theta)
-    y = (_PI - theta) / (1.0 + alpha)
-    z = alpha * y
-    upper = complex(math.cos(y) - big, math.sin(y))
-    xi_prime = _xi_prime_upper(alpha, theta, big, z)
+    big, y, z, _, upper = _frame(alpha, theta)
+    xi_prime = _xi_prime(alpha, theta, big, z)
     return ((1.0 + alpha) / (4.0 * alpha * alpha)
             * cmath.exp(-1j * (_PI - 2.0 * alpha * y))
             * big ** (1.0 - 2.0 * alpha) * xi_prime * xi_prime / upper)
@@ -339,19 +339,11 @@ def f_second_at_saddle(p: Params, theta: float) -> complex:
 def m_alpha(p: Params, theta: float) -> complex:
     """n-free amplitude of the Darboux-type leading term."""
     theta = _check_angle_open(theta, "theta")
-    alpha, a, b = p.alpha, p.a, p.b
-    big = theta_major(1.0 / alpha, theta)
-    small = theta_major(alpha, theta)
-    y = (_PI - theta) / (1.0 + alpha)
-    z = alpha * y
-    upper = complex(math.cos(y) - big, math.sin(y))
-    lower = complex(math.cos(z) - small, math.sin(z))
+    a, b = p.a, p.b
+    big, y, _, upper, lower, (d1, d2, d3) = _saddle_factors(p, theta)
     num = (cmath.exp(-1j * (_PI / 2.0 + y * (a + b + 1.0)))
-           * _cpow(upper, b + 0.5) * lower)
-    den = (math.sqrt(big) * small ** ((a + 1.0) / alpha - 1.0)
-           * (1.0 - big * small ** (1.0 / alpha)) ** b
-           * (1.0 + small * small - 2.0 * small * math.cos(z)))
-    return num / den
+           * complex_pow_principal(upper, b + 0.5) * lower)
+    return num / (math.sqrt(big) * d1 * d2 * d3)
 
 
 def sqrt_f_second(f_second: complex) -> complex:
@@ -432,15 +424,12 @@ class StructureBundle:
 def structure_functions(alpha: float, phi: float) -> StructureBundle:
     alpha = _check_alpha(alpha)
     phi = _check_angle_open(phi, "phi")
-    big = theta_major(1.0 / alpha, phi)
+    big, y, z, cy, upper = _frame(alpha, phi)
+    sy = upper.imag
     big_prime = theta_major_prime(1.0 / alpha, phi)
-    small = theta_major(alpha, phi)
-    v = _PI - phi
-    y = v / (1.0 + alpha)
-    z = alpha * y
-    cy, sy = math.cos(y), math.sin(y)
+    small = _theta_major(alpha, phi)
     cz, sz = math.cos(z), math.sin(z)
-    sin_phi = _sin_angle(phi, v)
+    sin_phi = _sin_angle(phi, _PI - phi)
     one_p_a = 1.0 + alpha
 
     k = big ** (2.0 * alpha)
@@ -454,8 +443,6 @@ def structure_functions(alpha: float, phi: float) -> StructureBundle:
     w = (2.0 * sin_phi / (one_p_a * one_p_a)
          * big ** (4.0 * alpha + 1.0) * (dd2 * cz - 2.0 * d * sz))
 
-    k_prime = 2.0 * alpha * big ** (2.0 * alpha - 1.0) * big_prime
-    l_prime = 2.0 * big_prime * (big - cy) - 2.0 * big * sy / one_p_a
     r_prime = -2.0 * (alpha * big ** (alpha - 1.0) * big_prime * cz
                       + big ** alpha * alpha * sz / one_p_a)
     v = u * r - k * l * r_prime
@@ -471,13 +458,8 @@ def h_of_phi(alpha: float, phi: float) -> Optional[float]:
     return structure_functions(alpha, phi).h
 
 
-def delta_of_phi(alpha: float, phi: float) -> float:
-    return structure_functions(alpha, phi).delta_cap
-
-
 def lambda_of_phi(alpha: float, phi: float) -> float:
     alpha = _check_alpha(alpha)
     phi = _check_angle_open(phi, "phi")
-    y = (_PI - phi) / (1.0 + alpha)
-    z = alpha * y
-    return math.cos(y) * math.sin(z) - alpha * math.sin(y) * math.cos(z)
+    _, _, z, cy, upper = _frame(alpha, phi)
+    return cy * math.sin(z) - alpha * upper.imag * math.cos(z)

@@ -24,6 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import InputError
 from .numerics import dd_div, dd_mul, dd_sum, dd_two_sum, log_gamma
 
 __all__ = [
@@ -53,11 +54,11 @@ class Params:
 
     def __post_init__(self):
         if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
+            raise InputError(f"alpha must be > 0, got {self.alpha!r}")
         if not (self.a > -1.0):
-            raise ValueError(f"a must be > -1, got {self.a!r}")
+            raise InputError(f"a must be > -1, got {self.a!r}")
         if not (self.b > -1.0):
-            raise ValueError(f"b must be > -1, got {self.b!r}")
+            raise InputError(f"b must be > -1, got {self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class EvalResult:
 
 def _validate_degree(n: int) -> int:
     if n != int(n) or n < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
+        raise InputError(f"degree must be a non-negative integer, got {n!r}")
     return int(n)
 
 
@@ -186,22 +187,12 @@ def _dd_power_ladder(h, l, n: int, m: int):
     return ph, pl
 
 
-def _sum_with_condition(term_h, term_l):
-    sum_h, sum_l = dd_sum(term_h, term_l, axis=0)
-    values = sum_h + sum_l
-    peak = np.max(np.abs(term_h), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
-    cond = np.maximum(cond, 1.0)
-    return values, cond
-
-
 def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized biorthogonal evaluation; returns (values, condition_estimates)."""
     n = _validate_degree(n)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(np.abs(xs) > 1.0):
-        raise ValueError("eval_biortho requires |x| <= 1")
+    if not np.all(np.abs(xs) <= 1.0):  # also rejects NaN
+        raise InputError("eval_biortho requires |x| <= 1")
     coef_h, coef_l, absmax = _biortho_table(p.alpha, p.a, p.b, n)
     m = xs.size
     p1h, p1l, p2h, p2l = _dd_halves(xs)
@@ -225,8 +216,8 @@ def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
     """
     n = _validate_degree(n)
     x = float(x)
-    if abs(x) > 1.0:
-        raise ValueError(f"eval_biortho requires |x| <= 1, got {x!r}")
+    if not abs(x) <= 1.0:  # also rejects NaN
+        raise InputError(f"eval_biortho requires |x| <= 1, got {x!r}")
     count = (n + 1) * (n + 2) // 2
     if x == 1.0:
         return EvalResult(normalization_at_one(p, n), 1.0, count)
@@ -243,7 +234,7 @@ def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndar
     """Vectorized classical-representation evaluation with condition estimates."""
     n = _validate_degree(n)
     if not (a > -1.0 and b > -1.0):
-        raise ValueError("jacobi parameters require a, b > -1")
+        raise InputError("jacobi parameters require a, b > -1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     t_h, t_l = _jacobi_table(a, b, n)
     m = xs.size
@@ -253,7 +244,12 @@ def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndar
     r_idx = np.arange(n + 1)
     th, tl = dd_mul(t_h[:, None], t_l[:, None], pow1h[r_idx], pow1l[r_idx])
     th, tl = dd_mul(th, tl, pow2h[n - r_idx], pow2l[n - r_idx])
-    return _sum_with_condition(th, tl)
+    sum_h, sum_l = dd_sum(th, tl, axis=0)
+    values = sum_h + sum_l
+    peak = np.max(np.abs(th), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
+    return values, np.maximum(cond, 1.0)
 
 
 def eval_jacobi_rep(a: float, b: float, n: int, x: float) -> float:
@@ -266,7 +262,7 @@ def jacobi_recurrence_grid(a: float, b: float, n: int, xs) -> np.ndarray:
     """Three-term recurrence oracle, vectorized over x."""
     n = _validate_degree(n)
     if not (a > -1.0 and b > -1.0):
-        raise ValueError("jacobi parameters require a, b > -1")
+        raise InputError("jacobi parameters require a, b > -1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     p_prev = np.ones_like(xs)
     if n == 0:
@@ -307,7 +303,7 @@ def chu_vandermonde_sides(n: int, r: int, a: float) -> Tuple[float, float]:
     n = _validate_degree(n)
     r = _validate_degree(r)
     if r > n:
-        raise ValueError(f"need r <= n, got r={r}, n={n}")
+        raise InputError(f"need r <= n, got r={r}, n={n}")
     fa = Fraction(float(a))
     n_fact = math.factorial(n)
     lhs = Fraction(0)

@@ -23,7 +23,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InputError
 from .phase import f_at_saddle, f_phase, g_amplitude, g_at_saddle, f_second_at_saddle
 from .polys import Params
 
@@ -77,9 +77,9 @@ def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
     """
     a, b = endpoint_exponents
     if not (a > -1.0 and b > -1.0):
-        raise ValueError("endpoint exponents must be > -1")
+        raise InputError("endpoint exponents must be > -1")
     if not tol > 0.0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
 
     def batch(ts):
         xs = []
@@ -144,6 +144,10 @@ _GL_WEIGHTS = tuple(float(v) for v in _GL_WEIGHTS)
 
 _MAX_DEPTH = 42
 _PHASE_CAP = 0.25 * math.pi  # max advance of Im(n f) across a kept panel
+# Integrand evaluations allowed per call: over 10x the 6,112 that the
+# criterion-3 grid needs up to n = 4096.  Near x = 1 (theta -> 0) the panel
+# count grows without bound, e.g. at alpha = 2, n = 3, x = 0.99999.
+_MAX_EVALUATIONS = 64_000
 
 
 class _ContourIntegrand:
@@ -186,20 +190,21 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     tables finite for n in the hundreds where rho^n underflows.
 
     Requires n >= max(1 - (a+1)/alpha, -b) (integrand boundedness at the
-    branch points) and n >= 1.
+    branch points) and n >= 1.  Raises ConvergenceError when the panel errors
+    exceed their budget or the call needs over _MAX_EVALUATIONS evaluations.
     """
     if n != int(n) or n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n!r}")
+        raise InputError(f"degree must be a positive integer, got {n!r}")
     n = int(n)
     threshold = max(1.0 - (p.a + 1.0) / p.alpha, -p.b)
     if n < threshold:
-        raise ValueError(
+        raise InputError(
             f"n={n} is below the integrand-boundedness threshold "
             f"max(1-(a+1)/alpha, -b) = {threshold:.3f}")
     if not (0.0 < theta < _PI):
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+        raise InputError(f"theta must lie in (0, pi), got {theta!r}")
     if not tol > 0.0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
 
     fn = _ContourIntegrand(p, n, theta)
     f2 = f_second_at_saddle(p, theta)
@@ -219,6 +224,10 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
 
     def process(lo: float, hi: float, parent: complex, depth: int):
         nonlocal total, err_total
+        if fn.evaluations > _MAX_EVALUATIONS:
+            raise ConvergenceError(
+                f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
+                f"evaluations at tol {tol:.1e}")
         mid = 0.5 * (lo + hi)
         left = _gl_panel(fn, lo, mid)
         right = _gl_panel(fn, mid, hi)

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import phase
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InputError
 from .numerics import fd_derivative
 from .polys import (
     Params,
@@ -74,7 +74,7 @@ def biorthogonality_check(p: Params, n: int, tol: float = 1e-7,
     no magnitude for I_n.
     """
     if n < 1:
-        raise ValueError("biorthogonality_check requires n >= 1")
+        raise InputError("biorthogonality_check requires n >= 1")
     params = {"alpha": p.alpha, "a": p.a, "b": p.b, "n": n}
     moments = []
     try:
@@ -204,7 +204,7 @@ def identity_suite(samples: int = 1000, seed: int = 7) -> List[CheckRecord]:
     a looser tolerance because its left side is a finite difference.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InputError("samples must be >= 1")
     records = []
     for check_id, tol, evaluator in _identity_definitions():
         rng = random.Random(seed)
@@ -265,7 +265,7 @@ def monotonicity_scan(alpha: float, theta: float,
     structure as evidence and always reports pass.
     """
     if grid_size < 100:
-        raise ValueError("grid_size must be >= 100")
+        raise InputError("grid_size must be >= 100")
     p = Params(alpha, 0.0, 0.0)
     base = [(i + 1) * _PI / (grid_size + 1) for i in range(grid_size)]
     spacing = _PI / (grid_size + 1)
@@ -304,7 +304,7 @@ def claim_check(alpha: float, grid_size: int = 2000,
     the quotient h lies outside (0, 1); plus the quadratic identity
     u s^2 + v s + w = 0 at every grid point."""
     if alpha < 1.0:
-        raise ValueError("claim_check applies to alpha >= 1")
+        raise InputError("claim_check applies to alpha >= 1")
     p0 = phase.phi_star(alpha)
     worst_quad = -1.0
     dichotomy_fail = None
@@ -336,7 +336,7 @@ def counterexample_scan(alpha: float) -> CheckRecord:
     """For alpha < 1, find an angle with u > 0 and h strictly inside (0, 1),
     and verify lambda < 0 there; failure to find one is a fail record."""
     if not (0.0 < alpha < 1.0):
-        raise ValueError("counterexample_scan applies to 0 < alpha < 1")
+        raise InputError("counterexample_scan applies to 0 < alpha < 1")
     ph = 0.19
     witness = None
     while ph > 1e-6:
@@ -391,7 +391,7 @@ def run_suite(suite: str, seed: int = 7, *, identity_samples: int = 1000,
               reduction_tol: float = 1e-9) -> List[CheckRecord]:
     """Run one named suite (or everything) with the default grids."""
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+        raise InputError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     records: List[CheckRecord] = []
     if suite in ("all", "identities"):
         records.extend(identity_suite(identity_samples, seed))

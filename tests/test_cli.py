@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from biortho import cli
 from biortho.cli import main
+from biortho.errors import InputError
 
 PI = math.pi
 
@@ -70,6 +72,36 @@ class TestEval:
                          "--n", "1", "--method", "exact")
         assert code == 2
 
+    def test_jobs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--alpha", "1", "--a", "0", "--b", "0", "--n", "1",
+                  "--x", "0.1", "--method", "exact", "--jobs", "2"])
+        assert exc.value.code == 2
+
+    def test_contour_budget_exit_four(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "2", "--a", "0",
+                             "--b", "0", "--n", "3", "--x", "0.99999",
+                             "--method", "contour")
+        assert code == 4
+        assert out == ""
+        assert "integrand evaluations" in err
+
+    @pytest.mark.parametrize("exc, code", [
+        (InputError("bad input"), 2),
+        (OSError("no file"), 2),
+        # a message that reads like a usage error still counts as numerical
+        (ValueError("x must be > 0, got 0; need a value"), 4),
+    ])
+    def test_exit_code_follows_exception_type(self, capsys, monkeypatch,
+                                              exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "eval_biortho", fail)
+        got, _, err = run(capsys, "eval", "--alpha", "1", "--a", "0", "--b",
+                          "0", "--n", "1", "--x", "0.1", "--method", "exact")
+        assert got == code
+        assert str(exc) in err
+
     def test_bad_params_exit_two(self, capsys):
         code, _, _ = run(capsys, "eval", "--alpha", "-1", "--a", "0", "--b", "0",
                          "--n", "1", "--x", "0.1", "--method", "exact")
@@ -104,11 +136,15 @@ class TestVerify:
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("not_a_key = 1\n")
-        code, _, err = run(capsys, "verify", "--suite", "identities",
-                           "--config", str(cfg))
-        assert code == 2
-        assert "unknown config key" in err
+        for line, message in ((b"not_a_key = 1", "unknown config key"),
+                              (b"quad_tol = abc", "not a valid float"),
+                              (b"scan_grid = 1.5", "not a valid int"),
+                              (b"\xff\xfe quad_tol = 1", "not a text file")):
+            cfg.write_bytes(line + b"\n")
+            code, _, err = run(capsys, "verify", "--suite", "identities",
+                               "--config", str(cfg))
+            assert code == 2, line
+            assert message in err
 
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -215,6 +251,11 @@ class TestContourDump:
         code, _, _ = run(capsys, "contour-dump", "--alpha", "2",
                          "--what", "partition")
         assert code == 2
+        for theta, n in (("1.0", "0"), ("nan", "5")):
+            code, out, _ = run(capsys, "contour-dump", "--alpha", "2",
+                               "--what", "partition", "--theta", theta,
+                               "--n", n)
+            assert code == 2 and out == ""
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "contour.csv"

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biortho.numerics import (
-    Accumulator,
-    compensated_sum,
     complex_pow_principal,
     dd_add,
     dd_div,
@@ -76,34 +74,6 @@ class TestComplexPow:
         lhs = complex_pow_principal(z, p) * complex_pow_principal(z, q)
         rhs = complex_pow_principal(z, p + q)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-class TestSummation:
-    def test_rescued_small_addend(self):
-        assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
-
-    def test_empty(self):
-        assert compensated_sum([]) == 0.0
-
-    def test_tenths(self):
-        assert compensated_sum([0.1] * 10) == pytest.approx(1.0, abs=1e-16)
-
-    def test_accumulator_matches(self):
-        acc = Accumulator()
-        for t in [1e16, 1.0, -1e16, 0.1, -0.1]:
-            acc.add(t)
-        assert acc.value() == 1.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=50, deadline=None)
-    def test_permutation_stable(self, values, rng):
-        s1 = compensated_sum(values)
-        shuffled = list(values)
-        rng.shuffle(shuffled)
-        s2 = compensated_sum(shuffled)
-        scale = max(1.0, abs(s1))
-        assert abs(s1 - s2) <= 4 * np.finfo(float).eps * scale
 
 
 class TestBisect:

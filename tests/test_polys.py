@@ -76,6 +76,10 @@ class TestBiortho:
             eval_biortho(Params(1.0, 0.0, 0.0), 3, 1.5)
         with pytest.raises(ValueError):
             eval_biortho(Params(1.0, 0.0, 0.0), -1, 0.5)
+        with pytest.raises(ValueError):
+            eval_biortho(Params(1.0, 0.0, 0.0), 3, math.nan)
+        with pytest.raises(ValueError):
+            eval_biortho_grid(Params(1.0, 0.0, 0.0), 3, [0.5, math.nan])
 
     def test_condition_estimate_at_least_one(self):
         p = Params(3.0, 1.2, -0.5)

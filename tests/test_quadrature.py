@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ class TestContourRule:
             counts[n] = rodrigues_contour_eval(p, n, PI / 3, 1e-9).evaluations
         for n in (128, 256, 512):
             assert counts[n] <= (n / (n // 2)) * counts[n // 2]
+
+    def test_evaluation_cap(self):
+        # near x = 1 the panel count grows without bound; the cap turns an
+        # endless run into a typed error within seconds
+        p = Params(2.0, 0.0, 0.0)
+        theta = phase.theta_of_x(p, 0.99999)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="integrand evaluations"):
+            rodrigues_contour_eval(p, 3, theta, 1e-10)
+        assert time.perf_counter() - start < 30.0
+        # one decade farther from x = 1 the same call converges
+        x = 0.9999
+        res = rodrigues_contour_eval(p, 3, phase.theta_of_x(p, x), 1e-10)
+        assert res.value == pytest.approx(eval_biortho(p, 3, x).value, rel=1e-8)
 
     def test_result_type(self):
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 4, 1.0, 1e-9)
