@@ -35,7 +35,6 @@ __all__ = [
     "f_second_at_saddle",
     "g_amplitude",
     "g_at_saddle",
-    "h_of_phi",
     "lambda_of_phi",
     "m_alpha",
     "phi_star",
@@ -102,8 +101,11 @@ def _theta_major(alpha: float, t: float) -> float:
 
 def theta_major_prime(alpha: float, t: float) -> float:
     """Analytic derivative of theta_major in t."""
-    alpha = _check_alpha(alpha)
-    t = _check_angle_open(t)
+    return _theta_major_prime(_check_alpha(alpha), _check_angle_open(t))
+
+
+def _theta_major_prime(alpha: float, t: float) -> float:
+    # theta_major_prime for an already checked alpha > 0 and t in (0, pi)
     v = _PI - t
     y = v / (1.0 + alpha)
     sy = math.sin(y)
@@ -170,7 +172,7 @@ def _frame(alpha: float, phi: float):
 
 
 def _xi_prime(alpha: float, phi: float, big: float, z: float) -> complex:
-    prime = theta_major_prime(1.0 / alpha, phi)
+    prime = _theta_major_prime(1.0 / alpha, phi)
     return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
             * cmath.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
 
@@ -426,7 +428,7 @@ def structure_functions(alpha: float, phi: float) -> StructureBundle:
     phi = _check_angle_open(phi, "phi")
     big, y, z, cy, upper = _frame(alpha, phi)
     sy = upper.imag
-    big_prime = theta_major_prime(1.0 / alpha, phi)
+    big_prime = _theta_major_prime(1.0 / alpha, phi)
     small = _theta_major(alpha, phi)
     cz, sz = math.cos(z), math.sin(z)
     sin_phi = _sin_angle(phi, _PI - phi)
@@ -452,10 +454,6 @@ def structure_functions(alpha: float, phi: float) -> StructureBundle:
     lambda_low = cy * sz - alpha * sy * cz
     return StructureBundle(k=k, l=l, r=r, s=s, u=u, v=v, w=w, d=d, h=h,
                            delta_cap=delta_cap, lambda_low=lambda_low)
-
-
-def h_of_phi(alpha: float, phi: float) -> Optional[float]:
-    return structure_functions(alpha, phi).h
 
 
 def lambda_of_phi(alpha: float, phi: float) -> float:

@@ -187,6 +187,29 @@ def _dd_power_ladder(h, l, n: int, m: int):
     return ph, pl
 
 
+def _bernstein_dd_sum(coef_h, coef_l, n: int, xs: np.ndarray):
+    """Double-double sum_r coef[r] ((1-x)/2)^r ((1+x)/2)^(n-r).
+
+    Returns the values and the high parts of the terms and of both power
+    factors, each as an array whose row r belongs to term r."""
+    m = xs.size
+    p1h, p1l, p2h, p2l = _dd_halves(xs)
+    pow1h, pow1l = _dd_power_ladder(p1h, p1l, n, m)
+    pow2h, pow2l = _dd_power_ladder(p2h, p2l, n, m)
+    pow2h, pow2l = pow2h[::-1], pow2l[::-1]
+    th, tl = dd_mul(coef_h[:, None], coef_l[:, None], pow1h, pow1l)
+    th, tl = dd_mul(th, tl, pow2h, pow2l)
+    sum_h, sum_l = dd_sum(th, tl, axis=0)
+    return sum_h + sum_l, th, pow1h, pow2h
+
+
+def _condition(peak: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """peak / |value|, infinite at a zero value, never below 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
+    return np.maximum(cond, 1.0)
+
+
 def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized biorthogonal evaluation; returns (values, condition_estimates)."""
     n = _validate_degree(n)
@@ -194,18 +217,9 @@ def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     if not np.all(np.abs(xs) <= 1.0):  # also rejects NaN
         raise InputError("eval_biortho requires |x| <= 1")
     coef_h, coef_l, absmax = _biortho_table(p.alpha, p.a, p.b, n)
-    m = xs.size
-    p1h, p1l, p2h, p2l = _dd_halves(xs)
-    pow1h, pow1l = _dd_power_ladder(p1h, p1l, n, m)
-    pow2h, pow2l = _dd_power_ladder(p2h, p2l, n, m)
-    th, tl = dd_mul(coef_h[:, None], coef_l[:, None], pow1h, pow1l)
-    th, tl = dd_mul(th, tl, pow2h[::-1], pow2l[::-1])
-    sum_h, sum_l = dd_sum(th, tl, axis=0)
-    values = sum_h + sum_l
-    peak = np.max(absmax[:, None] * np.abs(pow1h) * np.abs(pow2h[::-1]), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
-    return values, np.maximum(cond, 1.0)
+    values, _, pow1h, pow2h = _bernstein_dd_sum(coef_h, coef_l, n, xs)
+    peak = np.max(absmax[:, None] * np.abs(pow1h) * np.abs(pow2h), axis=0)
+    return values, _condition(peak, values)
 
 
 def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
@@ -237,19 +251,8 @@ def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndar
         raise InputError("jacobi parameters require a, b > -1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     t_h, t_l = _jacobi_table(a, b, n)
-    m = xs.size
-    p1h, p1l, p2h, p2l = _dd_halves(xs)
-    pow1h, pow1l = _dd_power_ladder(p1h, p1l, n, m)
-    pow2h, pow2l = _dd_power_ladder(p2h, p2l, n, m)
-    r_idx = np.arange(n + 1)
-    th, tl = dd_mul(t_h[:, None], t_l[:, None], pow1h[r_idx], pow1l[r_idx])
-    th, tl = dd_mul(th, tl, pow2h[n - r_idx], pow2l[n - r_idx])
-    sum_h, sum_l = dd_sum(th, tl, axis=0)
-    values = sum_h + sum_l
-    peak = np.max(np.abs(th), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
-    return values, np.maximum(cond, 1.0)
+    values, th, _, _ = _bernstein_dd_sum(t_h, t_l, n, xs)
+    return values, _condition(np.max(np.abs(th), axis=0), values)
 
 
 def eval_jacobi_rep(a: float, b: float, n: int, x: float) -> float:

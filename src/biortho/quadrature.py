@@ -10,8 +10,9 @@ rodrigues_contour_eval: adaptive composite Gauss-Legendre rule for the
 oscillatory contour integral representing the biorthogonal polynomial, with
 the dominant exponential factored out at the saddle so values like rho^n for
 n ~ 1000 never underflow intermediate arithmetic.  Panels split dyadically,
-driven by a two-halves error estimate and a phase-advance cap near the
-saddle.  The refinement order is fixed, so results are deterministic.
+driven by a two-halves error estimate, with a width cap on the saddle panel
+and geometric grading at the contour ends.  The refinement order is fixed,
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ _LOG2 = math.log(2.0)
 
 # exp() underflows to zero below this exponent; used to skip dead nodes
 _DEAD_LOG = -745.0
+# tanh-sinh step halvings after level 0 before integrate_interval gives up
+_MAX_LEVEL = 12
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,11 @@ def _node(t: float, a: float, b: float):
 
 
 def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
-                       tol: float, *, vectorized: bool = False,
-                       max_level: int = 12) -> QuadResult:
+                       tol: float) -> QuadResult:
     """Integral of f(x) (1-x)^a (1+x)^b over (-1, 1) by tanh-sinh refinement.
 
     f must be continuous on [-1, 1]; endpoint singular behavior belongs in
-    the exponents.  With vectorized=True, f receives numpy arrays.
+    the exponents.  f receives numpy arrays of abscissae.
     Convergence is declared when consecutive refinement levels differ by at
     most tol relative to max(|integral|, sum of |contributions|); the latter
     keeps the criterion meaningful for integrals that cancel to zero.
@@ -93,8 +95,7 @@ def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
             return 0.0, 0.0, 0
         xa = np.array(xs)
         wa = np.exp(np.array(logws))
-        fv = np.asarray(f(xa), dtype=float) if vectorized else \
-            np.array([float(f(x)) for x in xa])
+        fv = np.asarray(f(xa), dtype=float)
         contrib = fv * wa
         return float(np.sum(contrib)), float(np.sum(np.abs(contrib))), len(xs)
 
@@ -114,7 +115,7 @@ def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
     prev = math.inf
     err = math.inf
     h = h0
-    for _ in range(1, max_level + 1):
+    for _ in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         k_max = int(t_max / h)
         new_ts = [k * h for k in range(-k_max, k_max + 1) if k % 2 != 0]
@@ -131,7 +132,7 @@ def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
             return QuadResult(total, err, evaluations)
     raise ConvergenceError(
         f"integrate_interval: refinement stalled at error {err:.3e} "
-        f"after {max_level} levels (tol {tol:.1e})")
+        f"after {_MAX_LEVEL} levels (tol {tol:.1e})")
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +144,9 @@ _GL_NODES = tuple(float(v) for v in _GL_NODES)
 _GL_WEIGHTS = tuple(float(v) for v in _GL_WEIGHTS)
 
 _MAX_DEPTH = 42
-_PHASE_CAP = 0.25 * math.pi  # max advance of Im(n f) across a kept panel
 # Integrand evaluations allowed per call: over 10x the 6,112 that the
 # criterion-3 grid needs up to n = 4096.  Near x = 1 (theta -> 0) the panel
-# count grows without bound, e.g. at alpha = 2, n = 3, x = 0.99999.
+# count grows without bound, e.g. at alpha = 2, n = 3, x = 0.9999999.
 _MAX_EVALUATIONS = 64_000
 
 
@@ -166,9 +166,6 @@ class _ContourIntegrand:
         if w.real < _DEAD_LOG:
             return 0.0j
         return cmath.exp(w) * g_amplitude(self.p, self.theta, phi)
-
-    def log_im_f(self, phi: float) -> float:
-        return self.n * f_phase(self.p, self.theta, phi).imag
 
 
 def _gl_panel(fn: _ContourIntegrand, lo: float, hi: float) -> complex:
@@ -237,21 +234,9 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
         need_width = contains_saddle and width > saddle_width
         at_edge = lo <= eps_edge * 2.0 or hi >= _PI - 2.0 * eps_edge
         need_edge = at_edge and width > edge_width
-        # oscillation cap only matters where the panel actually contributes
-        need_phase = False
-        if not (need_width or need_edge) and err <= tol * scale * (width / _PI) \
-                and depth > 0:
-            mag = max(abs(left), abs(right))
-            if mag > 0.1 * tol * scale:
-                adv = abs(fn.log_im_f(hi - 1e-3 * width)
-                          - fn.log_im_f(lo + 1e-3 * width))
-                need_phase = adv > _PHASE_CAP
-        if depth >= _MAX_DEPTH:
-            total += left + right
-            err_total += err
-            return
-        if (need_width or need_edge or need_phase
-                or err > tol * scale * (width / _PI) or depth == 0):
+        need_error = err > tol * scale * (width / _PI)
+        if depth < _MAX_DEPTH and (need_width or need_edge or need_error
+                                   or depth == 0):
             process(lo, mid, left, depth + 1)
             process(mid, hi, right, depth + 1)
         else:

@@ -83,7 +83,7 @@ def biorthogonality_check(p: Params, n: int, tol: float = 1e-7,
                 vals, _ = eval_biortho_grid(p, n, xs)
                 return vals
             res = integrate_interval(integrand, (p.alpha * j + p.a, p.b),
-                                     quad_tol, vectorized=True)
+                                     quad_tol)
             moments.append(res.value)
     except ConvergenceError as exc:
         return _record("biorthogonality", params, False,

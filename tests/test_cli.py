@@ -80,7 +80,7 @@ class TestEval:
 
     def test_contour_budget_exit_four(self, capsys):
         code, out, err = run(capsys, "eval", "--alpha", "2", "--a", "0",
-                             "--b", "0", "--n", "3", "--x", "0.99999",
+                             "--b", "0", "--n", "3", "--x", "0.9999999",
                              "--method", "contour")
         assert code == 4
         assert out == ""

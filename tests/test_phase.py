@@ -425,8 +425,10 @@ class TestStructureBundle:
         assert sb.w < 0.0
 
     def test_h_limits(self):
-        assert phase.h_of_phi(2.0, 1e-6) == pytest.approx(0.0, abs=1e-3)
-        assert phase.h_of_phi(2.0, PI - 1e-6) == pytest.approx(1.0, abs=1e-3)
+        h_low = phase.structure_functions(2.0, 1e-6).h
+        h_high = phase.structure_functions(2.0, PI - 1e-6).h
+        assert h_low == pytest.approx(0.0, abs=1e-3)
+        assert h_high == pytest.approx(1.0, abs=1e-3)
 
     def test_lambda_zero_at_alpha_one(self):
         for i in range(100):
@@ -465,7 +467,7 @@ class TestStructureBundle:
         prev = {"left": None, "right": None}
         for i in range(2000):
             phi = (i + 1) * PI / 2001
-            h = phase.h_of_phi(alpha, phi)
+            h = phase.structure_functions(alpha, phi).h
             if h is None or abs(phi - p0) < 1e-6:
                 continue
             side = "left" if phi < p0 else "right"

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from biortho import phase
+from biortho import phase, quadrature
 from biortho.errors import ConvergenceError
 from biortho.numerics import log_gamma
 from biortho.polys import Params, eval_biortho, eval_jacobi_rep
@@ -52,8 +52,7 @@ class TestIntervalRule:
         assert res.value == pytest.approx(beta_moment(a, b), rel=1e-10)
 
     def test_vectorized_mode(self):
-        res = integrate_interval(lambda xs: np.cos(xs), (0.0, 0.0), 1e-12,
-                                 vectorized=True)
+        res = integrate_interval(lambda xs: np.cos(xs), (0.0, 0.0), 1e-12)
         assert res.value == pytest.approx(2.0 * math.sin(1.0), rel=1e-12)
 
     def test_error_estimate_honest(self):
@@ -67,8 +66,8 @@ class TestIntervalRule:
     def test_stall_raises(self):
         # a jump discontinuity defeats double-exponential convergence
         with pytest.raises(ConvergenceError):
-            integrate_interval(lambda x: 1.0 if x > 0.123456 else 0.0,
-                               (0.0, 0.0), 1e-14, max_level=6)
+            integrate_interval(lambda x: np.where(x > 0.123456, 1.0, 0.0),
+                               (0.0, 0.0), 1e-14)
 
 
 class TestContourRule:
@@ -148,15 +147,33 @@ class TestContourRule:
         # near x = 1 the panel count grows without bound; the cap turns an
         # endless run into a typed error within seconds
         p = Params(2.0, 0.0, 0.0)
-        theta = phase.theta_of_x(p, 0.99999)
+        theta = phase.theta_of_x(p, 0.9999999)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="integrand evaluations"):
             rodrigues_contour_eval(p, 3, theta, 1e-10)
         assert time.perf_counter() - start < 30.0
-        # one decade farther from x = 1 the same call converges
+        # three decades farther from x = 1 the same call converges
         x = 0.9999
         res = rodrigues_contour_eval(p, 3, phase.theta_of_x(p, x), 1e-10)
         assert res.value == pytest.approx(eval_biortho(p, 3, x).value, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, a, b, n, theta", [
+        (2.0, 1.2, -0.5, 20, PI / 4),  # a criterion-3 point
+        (2.0, 0.5, -0.3, 512, PI / 3),
+    ])
+    def test_evaluations_count_every_phase_call(self, monkeypatch,
+                                                alpha, a, b, n, theta):
+        # the reported count is the whole integrand cost: no uncounted probes
+        calls = [0]
+        inner = quadrature.f_phase
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(quadrature, "f_phase", counted)
+        res = rodrigues_contour_eval(Params(alpha, a, b), n, theta, 1e-9)
+        assert res.evaluations == calls[0]
 
     def test_result_type(self):
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 4, 1.0, 1e-9)
