@@ -149,6 +149,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
                                         config.tolerances["contour_tol"])
         record["value"] = result.value
         record["error_estimate"] = result.error_estimate
+        record["evaluations"] = result.evaluations
     else:
         theta = args.theta if args.theta is not None else \
             theta_of_x(p, args.x, bisect_tol)

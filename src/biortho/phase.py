@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InputError
 from .numerics import complex_pow_principal, find_root_bisect
 from .polys import Params
@@ -77,6 +79,21 @@ def _cos_angle(t: float, v: float) -> float:
     return math.cos(t) if t <= 0.5 * _PI else -math.cos(v)
 
 
+def _check_angles_open(t, name: str = "angle") -> np.ndarray:
+    # t as a float array of at least one dimension, every entry in (0, pi)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    inside = (t > 0.0) & (t < _PI)
+    if not inside.all():
+        bad = float(t[~inside][0])
+        raise InputError(f"{name} must lie in (0, pi), got {bad!r}")
+    return t
+
+
+def _like(t, values: np.ndarray):
+    # values shaped like the caller's t: one element for a float t
+    return values if np.ndim(t) else values[0]
+
+
 def theta_major(alpha: float, t: float) -> float:
     """Monotone angle map sin(t) / ((1+alpha) sin((pi-t)/(1+alpha))).
 
@@ -99,6 +116,13 @@ def _theta_major(alpha: float, t: float) -> float:
     return _sin_angle(t, v) / ((1.0 + alpha) * math.sin(v / (1.0 + alpha)))
 
 
+def _theta_major_np(alpha: float, t: np.ndarray) -> np.ndarray:
+    # _theta_major for an array of checked angles
+    v = _PI - t
+    sin_t = np.where(t <= 0.5 * _PI, np.sin(t), np.sin(v))
+    return sin_t / ((1.0 + alpha) * np.sin(v / (1.0 + alpha)))
+
+
 def theta_major_prime(alpha: float, t: float) -> float:
     """Analytic derivative of theta_major in t."""
     return _theta_major_prime(_check_alpha(alpha), _check_angle_open(t))
@@ -110,6 +134,18 @@ def _theta_major_prime(alpha: float, t: float) -> float:
     y = v / (1.0 + alpha)
     sy = math.sin(y)
     u = (1.0 + alpha) * _cos_angle(t, v) * sy + _sin_angle(t, v) * math.cos(y)
+    return u / ((1.0 + alpha) ** 2 * sy * sy)
+
+
+def _theta_major_prime_np(alpha: float, t: np.ndarray) -> np.ndarray:
+    # _theta_major_prime for an array of checked angles
+    v = _PI - t
+    y = v / (1.0 + alpha)
+    sy = np.sin(y)
+    near = t <= 0.5 * _PI
+    sin_t = np.where(near, np.sin(t), np.sin(v))
+    cos_t = np.where(near, np.cos(t), -np.cos(v))
+    u = (1.0 + alpha) * cos_t * sy + sin_t * np.cos(y)
     return u / ((1.0 + alpha) ** 2 * sy * sy)
 
 
@@ -171,10 +207,25 @@ def _frame(alpha: float, phi: float):
     return big, y, alpha * y, cy, complex(cy - big, math.sin(y))
 
 
+def _frame_np(alpha: float, phi: np.ndarray):
+    # _frame for an array of checked angles, same operations and order
+    big = _theta_major_np(1.0 / alpha, phi)
+    y = (_PI - phi) / (1.0 + alpha)
+    cy = np.cos(y)
+    return big, y, alpha * y, cy, (cy - big) + 1j * np.sin(y)
+
+
 def _xi_prime(alpha: float, phi: float, big: float, z: float) -> complex:
     prime = _theta_major_prime(1.0 / alpha, phi)
     return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
             * cmath.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
+
+
+def _xi_prime_np(alpha: float, phi: np.ndarray, big: np.ndarray,
+                 z: np.ndarray) -> np.ndarray:
+    prime = _theta_major_prime_np(1.0 / alpha, phi)
+    return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
+            * np.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
 
 
 @dataclass(frozen=True)
@@ -210,8 +261,13 @@ def contour_point(p: Params, phi: float) -> ContourPoint:
     return ContourPoint(phi, xi, _xi_prime(alpha, phi, big, z))
 
 
-def f_phase(p: Params, theta: float, phi: float) -> complex:
+def f_phase(p: Params, theta: float, phi):
     """Phase function of the contour integrand, continuous in phi.
+
+    phi is a float or an array of angles in (0, pi); the result is a complex
+    or a complex array of the same shape, computed elementwise by the same
+    operations either way.  The contour oracle passes every node of one
+    refinement level at once.
 
     The real part is the log-magnitude; the argument is accumulated factor by
     factor (each factor stays inside an open half-plane, so no branch cut is
@@ -220,35 +276,38 @@ def f_phase(p: Params, theta: float, phi: float) -> complex:
     some parameters and break e^{n f} quadrature.
     """
     theta = _check_angle_open(theta, "theta")
-    phi = _check_angle_open(phi, "phi")
+    phis = _check_angles_open(phi, "phi")
     alpha = _check_alpha(p.alpha)
-    big, _, z, _, upper = _frame(alpha, phi)
-    den = big ** alpha * cmath.exp(-1j * z) - _s_value(alpha, theta)  # Im < 0
-    if den == 0:
+    big, _, z, _, upper = _frame_np(alpha, phis)
+    den = big ** alpha * np.exp(-1j * z) - _s_value(alpha, theta)  # Im < 0
+    if (den == 0).any():
         raise ValueError("f_phase: integrand pole hit (xi(phi) == t(theta))")
-    re = alpha * math.log(big) + math.log(abs(upper)) - math.log(abs(den))
+    re = alpha * np.log(big) + np.log(np.abs(upper)) - np.log(np.abs(den))
     # (pi + phi) + args - 2 pi, with phi - pi = -(pi - phi) taken exactly
-    im = -(_PI - phi) + cmath.phase(upper) - cmath.phase(den)
-    return complex(re, im)
+    im = -(_PI - phis) + np.angle(upper) - np.angle(den)
+    return _like(phi, re + 1j * im)
 
 
-def g_amplitude(p: Params, theta: float, phi: float) -> complex:
-    """Amplitude factor of the contour integrand (includes xi'(phi))."""
+def g_amplitude(p: Params, theta: float, phi):
+    """Amplitude factor of the contour integrand (includes xi'(phi)).
+
+    phi is a float or an array of angles in (0, pi), as for f_phase.
+    """
     theta = _check_angle_open(theta, "theta")
-    phi = _check_angle_open(phi, "phi")
+    phis = _check_angles_open(phi, "phi")
     alpha, a, b = p.alpha, p.a, p.b
-    big, y, z, _, upper = _frame(alpha, phi)
+    big, y, z, _, upper = _frame_np(alpha, phis)
     big_t = _theta_major(1.0 / alpha, theta)
     small_t = _theta_major(alpha, theta)
-    den = big ** alpha * cmath.exp(-1j * z) - big_t ** alpha * small_t
-    if den == 0:
+    den = big ** alpha * np.exp(-1j * z) - big_t ** alpha * small_t
+    if (den == 0).any():
         raise ValueError("g_amplitude: integrand pole hit")
     ratio = (big / big_t) ** (a + 1.0 - alpha)
-    phase = cmath.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
-    upper_b = complex_pow_principal(upper, b)
+    phase = np.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
+    upper_b = np.exp(b * np.log(upper))  # principal power; Im upper > 0
     base_b = (1.0 - big_t * small_t ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
-    return (ratio * phase * upper_b * _xi_prime(alpha, phi, big, z)
-            / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den))
+    return _like(phi, ratio * phase * upper_b * _xi_prime_np(alpha, phis, big, z)
+                 / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den))
 
 
 def t_modulus(p: Params, theta: float, phi: float) -> float:

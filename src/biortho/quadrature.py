@@ -11,8 +11,10 @@ oscillatory contour integral representing the biorthogonal polynomial, with
 the dominant exponential factored out at the saddle so values like rho^n for
 n ~ 1000 never underflow intermediate arithmetic.  Panels split dyadically,
 driven by a two-halves error estimate, with a width cap on the saddle panel
-and geometric grading at the contour ends.  The refinement order is fixed,
-so results are deterministic.
+and geometric grading at the contour ends.  Refinement is level-wise: the
+halves of every panel of one depth are evaluated as one numpy batch (one
+f_phase and one g_amplitude call per level), and the accepted panels are
+summed in ascending phi, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -140,8 +142,6 @@ def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = tuple(float(v) for v in _GL_NODES)
-_GL_WEIGHTS = tuple(float(v) for v in _GL_WEIGHTS)
 
 _MAX_DEPTH = 42
 # Integrand evaluations allowed per call: over 10x the 6,112 that the
@@ -150,31 +150,26 @@ _MAX_DEPTH = 42
 _MAX_EVALUATIONS = 64_000
 
 
-class _ContourIntegrand:
-    """exp(n (f - f_saddle)) * g with evaluation counting and underflow guard."""
+def _panel_sums(p: Params, n: int, theta: float, f0: complex,
+                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre sums of exp(n (f - f0)) g over [lo, hi].
 
-    def __init__(self, p: Params, n: int, theta: float):
-        self.p = p
-        self.n = n
-        self.theta = theta
-        self.f0 = f_at_saddle(p, theta)
-        self.evaluations = 0
-
-    def __call__(self, phi: float) -> complex:
-        self.evaluations += 1
-        w = self.n * (f_phase(self.p, self.theta, phi) - self.f0)
-        if w.real < _DEAD_LOG:
-            return 0.0j
-        return cmath.exp(w) * g_amplitude(self.p, self.theta, phi)
-
-
-def _gl_panel(fn: _ContourIntegrand, lo: float, hi: float) -> complex:
+    All nodes go to f_phase in one call.  Nodes whose exponential underflows
+    are zero and never reach exp or g_amplitude; a non-finite value raises.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    acc = 0.0j
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * fn(mid + half * x)
-    return acc * half
+    phi = mid[:, None] + half[:, None] * _GL_NODES
+    w = n * (f_phase(p, theta, phi) - f0)
+    live = ~(w.real < _DEAD_LOG)  # NaN stays live and fails the check below
+    values = np.zeros(phi.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[live] = np.exp(w[live]) * g_amplitude(p, theta, phi[live])
+    if not np.isfinite(values).all():
+        raise ConvergenceError(
+            "rodrigues_contour_eval: non-finite integrand value")
+    # summed node by node in order (cumsum), not pairwise
+    return np.cumsum(values * _GL_WEIGHTS, axis=1)[:, -1] * half
 
 
 def rodrigues_contour_eval(p: Params, n: int, theta: float,
@@ -188,7 +183,8 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
 
     Requires n >= max(1 - (a+1)/alpha, -b) (integrand boundedness at the
     branch points) and n >= 1.  Raises ConvergenceError when the panel errors
-    exceed their budget or the call needs over _MAX_EVALUATIONS evaluations.
+    exceed their budget, when the next level would take the call over
+    _MAX_EVALUATIONS evaluations, or when an integrand value is not finite.
     """
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
@@ -203,7 +199,7 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     if not tol > 0.0:
         raise InputError("tol must be positive")
 
-    fn = _ContourIntegrand(p, n, theta)
+    f0 = f_at_saddle(p, theta)
     f2 = f_second_at_saddle(p, theta)
     # prior for the peak contribution: |g(theta)| times the Gaussian width
     gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(f2), 1e-12)))
@@ -216,36 +212,47 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     eps_edge = 1e-12
     edge_width = min(0.05, max(tol ** (1.0 / (n + 0.5)), 32.0 * eps_edge))
 
-    total = 0.0j
-    err_total = 0.0
-
-    def process(lo: float, hi: float, parent: complex, depth: int):
-        nonlocal total, err_total
-        if fn.evaluations > _MAX_EVALUATIONS:
+    # Breadth-first refinement: the frontier holds the panels of one depth
+    # with their whole-panel sums, and both halves of every frontier panel
+    # are evaluated as one batch.
+    lo = np.array([eps_edge, theta])
+    hi = np.array([theta, _PI - eps_edge])
+    parent = _panel_sums(p, n, theta, f0, lo, hi)
+    evaluations = lo.size * _GL_NODES.size
+    accepted = []  # (lo, left + right, err) of the panels kept, per level
+    depth = 0
+    while lo.size:
+        batch = 2 * lo.size * _GL_NODES.size
+        if evaluations + batch > _MAX_EVALUATIONS:
             raise ConvergenceError(
                 f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
                 f"evaluations at tol {tol:.1e}")
         mid = 0.5 * (lo + hi)
-        left = _gl_panel(fn, lo, mid)
-        right = _gl_panel(fn, mid, hi)
-        err = abs(left + right - parent)
+        left, right = np.split(_panel_sums(p, n, theta, f0,
+                                           np.concatenate([lo, mid]),
+                                           np.concatenate([mid, hi])), 2)
+        evaluations += batch
+        err = np.abs(left + right - parent)
         width = hi - lo
-        contains_saddle = lo <= theta <= hi
-        need_width = contains_saddle and width > saddle_width
-        at_edge = lo <= eps_edge * 2.0 or hi >= _PI - 2.0 * eps_edge
-        need_edge = at_edge and width > edge_width
+        contains_saddle = (lo <= theta) & (theta <= hi)
+        need_width = contains_saddle & (width > saddle_width)
+        at_edge = (lo <= eps_edge * 2.0) | (hi >= _PI - 2.0 * eps_edge)
+        need_edge = at_edge & (width > edge_width)
         need_error = err > tol * scale * (width / _PI)
-        if depth < _MAX_DEPTH and (need_width or need_edge or need_error
-                                   or depth == 0):
-            process(lo, mid, left, depth + 1)
-            process(mid, hi, right, depth + 1)
-        else:
-            total += left + right
-            err_total += err
+        split = ((need_width | need_edge | need_error | (depth == 0))
+                 & (depth < _MAX_DEPTH))
+        keep = ~split
+        accepted.append((lo[keep], (left + right)[keep], err[keep]))
+        lo, hi, parent = (np.concatenate([lo[split], mid[split]]),
+                          np.concatenate([mid[split], hi[split]]),
+                          np.concatenate([left[split], right[split]]))
+        depth += 1
 
-    process(eps_edge, theta, _gl_panel(fn, eps_edge, theta), 0)
-    process(theta, _PI - eps_edge, _gl_panel(fn, theta, _PI - eps_edge), 0)
-
+    # sum the accepted panels in ascending phi, one after another
+    panel_lo, values, errors = (np.concatenate(c) for c in zip(*accepted))
+    order = np.argsort(panel_lo)
+    total = complex(np.cumsum(values[order])[-1])
+    err_total = float(np.cumsum(errors[order])[-1])
     if err_total > 100.0 * tol * scale:
         raise ConvergenceError(
             f"rodrigues_contour_eval: accumulated panel error {err_total:.3e} "
@@ -256,6 +263,6 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     scaled_value = (phase_factor * total / (1j * _PI)).real
     scaled_err = err_total / _PI
     if scaled:
-        return QuadResult(scaled_value, scaled_err, fn.evaluations)
-    rho_n = math.exp(n * fn.f0.real)
-    return QuadResult(rho_n * scaled_value, rho_n * scaled_err, fn.evaluations)
+        return QuadResult(scaled_value, scaled_err, evaluations)
+    rho_n = math.exp(n * f0.real)
+    return QuadResult(rho_n * scaled_value, rho_n * scaled_err, evaluations)

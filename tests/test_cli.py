@@ -51,6 +51,15 @@ class TestEval:
         v2 = json.loads(out2)["value"]
         assert v1 == pytest.approx(v2, rel=1e-8)
 
+    def test_contour_reports_evaluations(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha", "2", "--a", "0.5",
+                           "--b", "-0.3", "--n", "8", "--theta", "1.5707963",
+                           "--method", "contour")
+        assert code == 0
+        record = json.loads(out)
+        assert record["evaluations"] == 992
+        assert record["error_estimate"] <= 1e-10 * abs(record["value"])
+
     def test_exact_accepts_theta(self, capsys):
         code, out, _ = run(capsys, "eval", "--alpha", "2", "--a", "0.5",
                            "--b", "-0.3", "--n", "8", "--theta", "1.5707963",

@@ -2,9 +2,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from biortho import phase
+from biortho.errors import InputError
 from biortho.numerics import fd_derivative
 from biortho.polys import Params
 
@@ -220,6 +222,54 @@ class TestAmplitudeFunction:
                * ((1.0 - om_root) / (1.0 - ((1.0 - t) / 2.0) ** (1.0 / p.alpha))) ** p.b
                * cp.xi_prime / (cp.xi - t))
         assert phase.g_amplitude(p, theta, phi) == pytest.approx(raw, rel=1e-12)
+
+
+class TestArrayForm:
+    """f_phase and g_amplitude on an array of phi equal their float calls."""
+
+    @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
+    def test_bitwise_equal_to_float_calls(self, fn):
+        rng = random.Random(11)
+        for _ in range(40):
+            p = Params(rng.choice([1.0, 2.0, 4.0, rng.uniform(0.3, 5.0)]),
+                       rng.uniform(-0.9, 2.0), rng.uniform(-0.9, 2.0))
+            theta = rng.uniform(0.05, PI - 0.05)
+            phis = np.array([rng.uniform(1e-12, PI - 1e-12)
+                             for _ in range(40)]).reshape(4, 10)
+            batch = fn(p, theta, phis)
+            assert batch.shape == phis.shape
+            singles = [fn(p, theta, float(v)) for v in phis.flat]
+            assert all(isinstance(v, complex) for v in singles)
+            assert np.array(singles).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
+    @pytest.mark.parametrize("bad", [0.0, PI, -0.5, 4.0, math.nan])
+    def test_bad_phi_raises_as_for_float(self, fn, bad):
+        p = Params(2.0, 0.5, -0.3)
+        for phi in (bad, np.array([0.3, bad, 1.2])):
+            with pytest.raises(InputError, match="phi must lie in"):
+                fn(p, 1.0, phi)
+
+    @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
+    def test_pole_raises_as_for_float(self, monkeypatch, fn):
+        # xi(phi) never meets t(theta) for phi in (0, pi), so the pole is
+        # planted: at alpha = 1, big = s(theta) and z = 0 make den exactly 0
+        # at the last node
+        p = Params(1.0, 0.0, 0.0)
+        theta = 1.0
+        frame = phase._frame_np
+
+        def at_pole(alpha, phi):
+            big, y, z, cy, upper = frame(alpha, phi)
+            big[-1] = phase._s_value(alpha, theta)
+            z[-1] = 0.0
+            return big, y, z, cy, upper
+
+        monkeypatch.setattr(phase, "_frame_np", at_pole)
+        for phi in (1.3, np.array([0.4, 1.3])):
+            with pytest.raises(ValueError, match="pole hit") as exc:
+                fn(p, theta, phi)
+            assert exc.type is ValueError
 
 
 class TestPhaseDerivative:

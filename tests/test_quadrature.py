@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -163,17 +164,44 @@ class TestContourRule:
     ])
     def test_evaluations_count_every_phase_call(self, monkeypatch,
                                                 alpha, a, b, n, theta):
-        # the reported count is the whole integrand cost: no uncounted probes
-        calls = [0]
+        # the reported count is the whole integrand cost: every phi node
+        # that reaches f_phase, whether it arrives alone or in a batch
+        nodes = [0]
         inner = quadrature.f_phase
 
-        def counted(*args):
-            calls[0] += 1
-            return inner(*args)
+        def counted(p, theta, phi):
+            nodes[0] += np.size(phi)
+            return inner(p, theta, phi)
 
         monkeypatch.setattr(quadrature, "f_phase", counted)
         res = rodrigues_contour_eval(Params(alpha, a, b), n, theta, 1e-9)
-        assert res.evaluations == calls[0]
+        assert res.evaluations == nodes[0]
+
+    @pytest.mark.parametrize("n, evaluations", [
+        (64, 1248), (512, 1376), (4096, 1632),
+    ])
+    def test_evaluation_counts(self, n, evaluations):
+        # the panel set of the split rule, pinned by its node count
+        res = rodrigues_contour_eval(Params(2.0, 0.5, -0.3), n, PI / 3, 1e-9,
+                                     scaled=True)
+        assert res.evaluations == evaluations
+
+    @pytest.mark.parametrize("bad", [complex(1e3, 0.0), complex(math.nan, 0.0)])
+    def test_non_finite_integrand_raises(self, monkeypatch, bad):
+        # numpy's exp returns inf/nan with a warning where cmath raised;
+        # the oracle must turn that into a typed error, not a number
+        inner = quadrature.f_phase
+
+        def spoiled(p, theta, phi):
+            f = inner(p, theta, phi)
+            f.flat[f.size // 2] = bad
+            return f
+
+        monkeypatch.setattr(quadrature, "f_phase", spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                rodrigues_contour_eval(Params(2.0, 0.5, -0.3), 20, PI / 3, 1e-9)
 
     def test_result_type(self):
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 4, 1.0, 1e-9)
