@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes, chosen by exception type: 0 success, 1 verification failure,
 2 usage, input or config error (InputError, OSError, argparse), 3 scope
-error (ScopeError: alpha < 1 asymptotics without --allow-unproven),
+error (ScopeError: alpha < 1 asymptotics without --allow-unproven, or exact
+coefficients beyond the double range, where --method contour applies),
 4 numerical failure (ConvergenceError or any other ValueError).
 """
 

@@ -10,7 +10,8 @@ class InputError(ValueError):
 
 
 class ScopeError(Exception):
-    """Raised when an asymptotic formula is requested outside its proven range."""
+    """Raised when an input lies outside a method's range: an asymptotic formula
+    outside its proven range, or exact coefficients beyond the double range."""
 
 
 class ConvergenceError(RuntimeError):

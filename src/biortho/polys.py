@@ -7,24 +7,24 @@ normalization is fixed by the value at x = 1.
 
 The alternating sums cancel violently (the condition number grows roughly
 like the inverse n-th power of the sine ratio at interior points, and much
-faster for large exponents near x = -1), so each term's Gamma-ratio
-coefficient is built once per (alpha, a, b, n) as a double-double product of
-rational factors and the whole sum is accumulated in double-double as well.
-A condition estimate (largest |term| over |value|) is always reported and
-values with condition_estimate > 1e12 must be treated as unreliable.
+faster for large exponents near x = -1), so each coefficient is computed once
+per (alpha, a, b, n) as an exact rational (floats are dyadic), rounded once to
+double-double (ScopeError beyond the double range), and the sum is accumulated
+in double-double.  A condition estimate (largest |term| over |value|) is always
+reported; values with condition_estimate > 1e12 must be treated as unreliable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ScopeError
 from .numerics import dd_div, dd_mul, dd_sum, dd_two_sum, log_gamma
 
 __all__ = [
@@ -81,13 +81,23 @@ def _validate_degree(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# double-double coefficient tables
+# exact coefficient tables
 # ---------------------------------------------------------------------------
 
-def _dd_from_fraction(fr: Fraction):
-    hi = float(fr)
-    lo = float(fr - Fraction(hi))
-    return hi, lo
+def _poch_numerators(a: float, alpha: float, n: int):
+    """Integers N(s) and D with Poch((s+a+1)/alpha, n) / n! = N(s) / D, s >= 0:
+    with d the common power-of-two denominator of the floats a and alpha, each
+    factor is (a0 + s*d + j*al)/al for the integers a0 = (a+1)*d, al = alpha*d."""
+    a_num, a_den = float(a).as_integer_ratio()
+    al_num, al_den = float(alpha).as_integer_ratio()
+    d = max(a_den, al_den)
+    a0 = (a_num + a_den) * (d // a_den)
+    al = al_num * (d // al_den)
+
+    def numerator(s: int) -> int:
+        return math.prod(range(a0 + s * d, a0 + s * d + n * al, al))
+
+    return numerator, al ** n * math.factorial(n)
 
 
 @lru_cache(maxsize=512)
@@ -100,40 +110,41 @@ def _biortho_table(alpha: float, a: float, b: float, n: int):
         P_n(x) = sum_r coef(r) * ((1-x)/2)^r * ((1+x)/2)^(n-r),
         coef(r) = B[r] * sum_{s<=r} (-1)^s C(r, s) A[s].
 
-    For float inputs every quantity above is an exact rational, and the inner
-    alternating s-sums (which cancel to ~17 digits and beyond) are computed
-    exactly before rounding to double-double.  The raw per-(r, s) term
-    magnitudes are kept so the reported condition estimate still reflects the
-    cancellation of the full double sum.
+    For floats, A[s] = N[s] / (al^n n!) and B[r] = Bnum[r] / (db^r r!) with
+    integers N, Bnum, al, db, so the inner s-sums (which cancel to ~17 digits
+    and beyond) are exact forward differences of N, and each coef(r) is
+    rounded once to double-double.  absmax[r] = max_s |B[r] C(r, s) A[s]|
+    keeps the cancellation of the full double sum in the condition estimate.
     """
-    fa = Fraction(float(a))
-    fb = Fraction(float(b))
-    falpha = Fraction(float(alpha))
-    n_fact = math.factorial(n)
-
-    a_exact = []
-    for s in range(n + 1):
-        c = (fa + (s + 1)) / falpha
-        poch = Fraction(1)
-        for j in range(n):
-            poch *= c + j
-        a_exact.append(poch / n_fact)
-
-    coef_h = np.empty(n + 1)
-    coef_l = np.empty(n + 1)
-    absmax = np.empty(n + 1)  # max_s |term(r, s)| without the x-power factors
-    b_run = Fraction(1)
-    a_abs = [abs(float(v)) for v in a_exact]
-    # sum_{s<=r} (-1)^s C(r,s) A[s] = (-1)^r * (r-th forward difference of A at 0)
-    diff = list(a_exact)
-    for r in range(n + 1):
-        if r > 0:
-            b_run *= (fb + (n - r + 1)) / r
-            diff = [diff[s + 1] - diff[s] for s in range(len(diff) - 1)]
-        inner = -diff[0] if r & 1 else diff[0]
-        coef_h[r], coef_l[r] = _dd_from_fraction(inner * b_run)
-        b_abs = abs(float(b_run))
-        absmax[r] = b_abs * max(math.comb(r, s) * a_abs[s] for s in range(r + 1))
+    numerator, den_a = _poch_numerators(a, alpha, n)
+    b_num, b_den = float(b).as_integer_ratio()
+    coef_h, coef_l, absmax = np.empty((3, n + 1))
+    try:
+        # the largest A[s] and C(r, s) go first, so most overflows cost O(n)
+        numerator(n) / den_a, float(math.comb(n, n // 2))
+        diff = [numerator(s) for s in range(n + 1)]
+        a_abs = [v / den_a for v in diff]
+        pascal, bn, bd = [1], 1, 1  # row r of C(r, s); Bnum[r], db^r r!
+        for r in range(n + 1):
+            if r > 0:
+                bn *= b_num + (n - r + 1) * b_den
+                bd *= b_den * r
+                # sum_{s<=r} (-1)^s C(r,s) N[s] = (-1)^r * (r-th forward difference at 0)
+                diff = list(map(operator.sub, diff[1:], diff))
+                pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
+            # int true division rounds correctly: hi = p/q, then the remainder
+            top = -diff[0] * bn if r & 1 else diff[0] * bn
+            bot = bd * den_a
+            coef_h[r] = hi = top / bot
+            p, q = hi.as_integer_ratio()
+            coef_l[r] = (top * q - p * bot) / (bot * q)
+            absmax[r] = bn / bd * max(map(operator.mul, map(float, pascal), a_abs))
+            if absmax[r] == math.inf:
+                raise OverflowError
+    except OverflowError:
+        raise ScopeError(
+            f"exact coefficients of degree {n} at alpha={alpha!r}, a={a!r}, "
+            f"b={b!r} exceed the double range; use --method contour") from None
     return coef_h, coef_l, absmax
 
 
@@ -205,7 +216,7 @@ def _bernstein_dd_sum(coef_h, coef_l, n: int, xs: np.ndarray):
 
 def _condition(peak: np.ndarray, values: np.ndarray) -> np.ndarray:
     """peak / |value|, infinite at a zero value, never below 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
     return np.maximum(cond, 1.0)
 
@@ -299,29 +310,18 @@ def chu_vandermonde_sides(n: int, r: int, a: float) -> Tuple[float, float]:
     rhs = (-1)^r Gamma(n+a+1) / ((n-r)! Gamma(r+a+1) r!)
 
     Gamma ratios reduce to finite Pochhammer products, so for a float ``a``
-    both sides are exact rationals; they are evaluated exactly and rounded
-    once at the end.  Double-precision log-Gamma summation would lose ~13
-    digits to cancellation at n = r = 20 and could not certify anything.
+    both sides are integers over one denominator each (``_poch_numerators``
+    at alpha = 1), rounded once at the end.  Double-precision log-Gamma
+    summation would lose ~13 digits to cancellation at n = r = 20 and could
+    not certify anything.
     """
     n = _validate_degree(n)
     r = _validate_degree(r)
     if r > n:
         raise InputError(f"need r <= n, got r={r}, n={n}")
-    fa = Fraction(float(a))
-    n_fact = math.factorial(n)
-    lhs = Fraction(0)
-    for s in range(r + 1):
-        poch = Fraction(1)
-        base = fa + (s + 1)
-        for j in range(n):
-            poch *= base + j
-        term = poch / (n_fact * math.factorial(s) * math.factorial(r - s))
-        lhs += -term if s & 1 else term
-    poch = Fraction(1)
-    base = fa + (r + 1)
-    for j in range(n - r):
-        poch *= base + j
-    rhs = poch / (math.factorial(n - r) * math.factorial(r))
-    if r & 1:
-        rhs = -rhs
-    return float(lhs), float(rhs)
+    numerator, den = _poch_numerators(a, 1.0, n)
+    lhs = sum((-1) ** s * math.comb(r, s) * numerator(s) for s in range(r + 1))
+    lhs /= den * math.factorial(r)
+    numerator, den = _poch_numerators(a, 1.0, n - r)
+    rhs = numerator(r) / (den * math.factorial(r))
+    return lhs, -rhs if r & 1 else rhs

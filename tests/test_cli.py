@@ -34,6 +34,14 @@ class TestEval:
         assert code == 3
         assert "alpha" in err
 
+    def test_exact_beyond_double_range_exit_three(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "2", "--a", "0.5",
+                             "--b", "-0.3", "--n", "800", "--x", "0",
+                             "--method", "exact")
+        assert code == 3
+        assert out == ""
+        assert "contour" in err
+
     def test_allow_unproven(self, capsys):
         code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--a", "0",
                            "--b", "0", "--n", "10", "--theta", "1.0",

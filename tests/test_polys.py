@@ -1,8 +1,12 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from biortho import polys
+from biortho.errors import ScopeError
 from biortho.polys import (
     Params,
     chu_vandermonde_sides,
@@ -118,6 +122,51 @@ class TestBiortho:
         assert abs(extra) <= 1e-8 * abs(leading)
 
 
+def _poch(c, n):
+    out = Fraction(1)
+    for j in range(n):
+        out *= c + j
+    return out
+
+
+def _biortho_coef_reference(alpha, a, b, n):
+    """coef(r) = B[r] * sum_s (-1)^s C(r, s) A[s] in exact rationals."""
+    fa, fb, falpha = Fraction(a), Fraction(b), Fraction(alpha)
+    big_a = [_poch((fa + s + 1) / falpha, n) / math.factorial(n)
+             for s in range(n + 1)]
+    coefs = []
+    for r in range(n + 1):
+        big_b = _poch(fb + n - r + 1, r) / math.factorial(r)
+        coefs.append(big_b * sum((-1) ** s * math.comb(r, s) * big_a[s]
+                                 for s in range(r + 1)))
+    return coefs
+
+
+class TestBiorthoTable:
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 0.7, 2.3])
+    def test_coefficients_are_rounded_exact_rationals(self, alpha):
+        for a in (-0.5, 0.3, 1.25):
+            for b in (-0.5, 0.3, 1.25):
+                for n in range(13):
+                    coef_h, coef_l, _ = polys._biortho_table(alpha, a, b, n)
+                    for r, exact in enumerate(_biortho_coef_reference(alpha, a, b, n)):
+                        assert coef_h[r] == float(exact)
+                        assert coef_l[r] == float(exact - Fraction(coef_h[r]))
+                        assert coef_h[r] + coef_l[r] == coef_h[r]
+
+    def test_beyond_double_range_is_a_scope_error(self):
+        with pytest.raises(ScopeError, match="contour"):
+            eval_biortho(Params(1.0, 0.0, 0.0), 400, 0.0)
+
+    def test_large_degree_conditions_finite_without_warnings(self):
+        xs = np.linspace(-0.999, 0.999, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, cond = eval_biortho_grid(Params(2.0, 0.5, -0.3), 400, xs)
+        assert not np.any(np.isnan(cond))
+        assert np.all(np.isfinite(values))
+
+
 class TestClassicalJacobi:
     def test_degree_zero(self):
         assert eval_jacobi_rep(0.3, -0.2, 0, 0.77) == pytest.approx(1.0)
@@ -189,6 +238,18 @@ class TestChuVandermonde:
                 for r in range(0, n + 1):
                     lhs, rhs = chu_vandermonde_sides(n, r, a)
                     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    def test_sides_are_rounded_exact_rationals(self):
+        for a in (0.7, 1 / 3, -0.45):
+            fa = Fraction(a)
+            for n in range(21):
+                for r in range(n + 1):
+                    lhs = sum(Fraction((-1) ** s * math.comb(r, s))
+                              * _poch(fa + s + 1, n) for s in range(r + 1))
+                    lhs /= math.factorial(n) * math.factorial(r)
+                    rhs = (-1) ** r * _poch(fa + r + 1, n - r) / (
+                        math.factorial(n - r) * math.factorial(r))
+                    assert chu_vandermonde_sides(n, r, a) == (float(lhs), float(rhs))
 
     def test_bad_r(self):
         with pytest.raises(ValueError):
