@@ -25,6 +25,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
+import numpy as np
+
 from . import __version__
 from .asymptotics import convergence_table, darboux_biortho
 from .config import RunConfig, load_config
@@ -247,9 +249,9 @@ def _cmd_contour_dump(args, config: RunConfig) -> int:
         if args.theta is None:
             raise InputError("--what T requires --theta")
         lines.append("phi,T")
-        for i in range(args.points):
-            phi = (i + 1) * _PI / (args.points + 1)
-            lines.append(f"{phi!r},{t_modulus(p, args.theta, phi)!r}")
+        phis = [(i + 1) * _PI / (args.points + 1) for i in range(args.points)]
+        values = t_modulus(p, args.theta, np.array(phis)).tolist()
+        lines.extend(f"{phi!r},{value!r}" for phi, value in zip(phis, values))
     else:
         if args.theta is None or args.n is None:
             raise InputError("--what partition requires --theta and --n")

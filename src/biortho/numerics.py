@@ -1,6 +1,6 @@
 """Scalar and double-width numeric kernels shared by all modules.
 
-Provides log-Gamma, principal-branch complex powers, bracketed bisection,
+Provides principal-branch complex powers, bracketed bisection,
 Richardson-extrapolated central finite differences, least-squares slope
 fitting, and a small set of vectorized double-double primitives used by the
 polynomial evaluators.
@@ -12,7 +12,6 @@ number of threads.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -22,40 +21,7 @@ __all__ = [
     "fd_derivative",
     "find_root_bisect",
     "fit_loglog_slope",
-    "log_gamma",
 ]
-
-# Lanczos approximation with g = 7 and 9 coefficients.  After reflection for
-# x < 0.5 the relative error stays near 1e-15 on [1e-3, 1e6], well inside the
-# 1e-13 contract (relative to max(1, |ln Gamma|); ln Gamma vanishes at 1, 2).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[i] / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(base) - base + math.log(series)
 
 
 def complex_pow_principal(z: complex, p: float) -> complex:

@@ -4,8 +4,12 @@ Covers the monotone angle maps and their derivatives, the point map x(theta)
 and its inverse, the auxiliary map t(theta), the integration contour and its
 derivative, the phase f and amplitude g of the contour integrand, the
 modulus-square T, all saddle-point data (including the n-free amplitude
-factor M), plus the scalar structure functions k, l, r, s, u, v, w, d, h,
-Delta and lambda used by the monotonicity and claim scans.
+factor M), plus the structure functions k, l, r, s, u, v, w, d, h, Delta
+and lambda used by the monotonicity and claim scans.
+
+The functions that the contour oracle and the lemma scans call on whole
+grids take phi as an array: f_phase, g_amplitude, t_modulus and f_prime
+(each also as a float), and structure_functions_grid.
 
 All functions are pure; angles are radians in the open interval (0, pi),
 with the proven limit values substituted at exact endpoints where a contract
@@ -44,6 +48,7 @@ __all__ = [
     "saddle_data",
     "sqrt_f_second",
     "structure_functions",
+    "structure_functions_grid",
     "t_modulus",
     "t_of_theta",
     "theta_major",
@@ -194,6 +199,11 @@ def _s_value(alpha: float, t: float) -> float:
     return _theta_major(1.0 / alpha, t) ** alpha * _theta_major(alpha, t)
 
 
+def _s_value_np(alpha: float, t: np.ndarray) -> np.ndarray:
+    # _s_value for an array of checked angles
+    return _theta_major_np(1.0 / alpha, t) ** alpha * _theta_major_np(alpha, t)
+
+
 def _frame(alpha: float, phi: float):
     """Upper-branch quantities at phi that every contour function reads.
 
@@ -310,40 +320,47 @@ def g_amplitude(p: Params, theta: float, phi):
                  / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den))
 
 
-def t_modulus(p: Params, theta: float, phi: float) -> float:
-    """Squared modulus of e^{f} from its trigonometric closed form."""
+def t_modulus(p: Params, theta: float, phi):
+    """Squared modulus of e^{f} from its trigonometric closed form.
+
+    phi is a float or an array of angles in (0, pi), as for f_phase; the
+    monotonicity scan passes its whole grid at once.
+    """
     theta = _check_angle_open(theta, "theta")
-    phi = _check_angle_open(phi, "phi")
-    alpha = p.alpha
-    big, _, z, cy, _ = _frame(alpha, phi)
+    phis = _check_angles_open(phi, "phi")
+    alpha = _check_alpha(p.alpha)
+    big, _, z, cy, _ = _frame_np(alpha, phis)
     s_theta = _s_value(alpha, theta)
     k = big ** (2.0 * alpha)
     l = 1.0 + big * big - 2.0 * big * cy
-    den = k - 2.0 * s_theta * big ** alpha * math.cos(z) + s_theta * s_theta
-    return k * l / den
+    den = k - 2.0 * s_theta * big ** alpha * np.cos(z) + s_theta * s_theta
+    return _like(phi, k * l / den)
 
 
-def f_prime(p: Params, theta: float, phi: float) -> complex:
+def f_prime(p: Params, theta: float, phi):
     """Derivative of the phase in phi, from the closed numerator/denominator
     factorization.
 
-    The numerator carries the factor s(phi) - s(theta), so the saddle residual
-    at phi = theta cancels exactly instead of by floating-point luck.
+    phi is a float or an array of angles in (0, pi), as for f_phase; the
+    saddle scan passes its whole grid at once.  The numerator carries the
+    factor s(phi) - s(theta), with s(theta) computed by the same array
+    operations as s(phi), so the saddle residual at phi = theta cancels
+    exactly instead of by floating-point luck.
     """
     theta = _check_angle_open(theta, "theta")
-    phi = _check_angle_open(phi, "phi")
-    alpha = p.alpha
-    big, y, z, _, _ = _frame(alpha, phi)
-    s_theta = _s_value(alpha, theta)
-    small = _theta_major(alpha, phi)
+    phis = _check_angles_open(phi, "phi")
+    alpha = _check_alpha(p.alpha)
+    big, y, z, _, _ = _frame_np(alpha, phis)
+    s_theta = _s_value_np(alpha, np.array([theta]))
+    small = _theta_major_np(alpha, phis)
     s_phi = big ** alpha * small
-    upp = -2.0 * (big / small) * (s_phi - s_theta) * cmath.exp(-1j * (_PI - phi))
-    head = big ** alpha * cmath.exp(-1j * z)  # (1 - xi) / 2
-    low = (alpha * (2.0 * head) * (1.0 - big * cmath.exp(-1j * y))
+    upp = -2.0 * (big / small) * (s_phi - s_theta) * np.exp(-1j * (_PI - phis))
+    head = big ** alpha * np.exp(-1j * z)  # (1 - xi) / 2
+    low = (alpha * (2.0 * head) * (1.0 - big * np.exp(-1j * y))
            * (-2.0 * (head - s_theta)))
-    if low == 0:
+    if (low == 0).any():
         raise ValueError("f_prime: denominator vanished")
-    return upp / low * _xi_prime(alpha, phi, big, z)
+    return _like(phi, upp / low * _xi_prime_np(alpha, phis, big, z))
 
 
 @dataclass(frozen=True)
@@ -451,6 +468,16 @@ def d_of_phi(alpha: float, phi: float) -> float:
     return (1.0 + alpha) * cot_phi + alpha / math.tan(z)
 
 
+def _d_of_phi_np(alpha: float, phi: np.ndarray) -> np.ndarray:
+    # d_of_phi for an array of checked angles, same operations and order
+    v = _PI - phi
+    z = alpha * v / (1.0 + alpha)
+    near = phi <= 0.5 * _PI
+    cot_phi = (np.where(near, np.cos(phi), -np.cos(v))
+               / np.where(near, np.sin(phi), np.sin(v)))
+    return (1.0 + alpha) * cot_phi + alpha / np.tan(z)
+
+
 def phi_star(alpha: float, tol: float = 1e-12) -> float:
     """The unique angle where d_of_phi equals 1, by bisection.
 
@@ -509,6 +536,43 @@ def structure_functions(alpha: float, phi: float) -> StructureBundle:
     v = u * r - k * l * r_prime
 
     h = None if dd2 == 0.0 else big ** alpha * (cz - 2.0 * d / dd2 * sz)
+    delta_cap = dd2 * big * (cy - big) + 2.0 * (1.0 - big * big)
+    lambda_low = cy * sz - alpha * sy * cz
+    return StructureBundle(k=k, l=l, r=r, s=s, u=u, v=v, w=w, d=d, h=h,
+                           delta_cap=delta_cap, lambda_low=lambda_low)
+
+
+def structure_functions_grid(alpha: float, phi) -> StructureBundle:
+    """structure_functions on an array of angles in (0, pi), by the same
+    operations in the same order; every field is an array shaped like phi,
+    and h is NaN where its quotient degenerates (d = 1)."""
+    alpha = _check_alpha(alpha)
+    phi = _check_angles_open(phi, "phi")
+    big, y, z, cy, upper = _frame_np(alpha, phi)
+    sy = upper.imag
+    big_prime = _theta_major_prime_np(1.0 / alpha, phi)
+    small = _theta_major_np(alpha, phi)
+    cz, sz = np.cos(z), np.sin(z)
+    sin_phi = np.where(phi <= 0.5 * _PI, np.sin(phi), np.sin(_PI - phi))
+    one_p_a = 1.0 + alpha
+
+    k = big ** (2.0 * alpha)
+    l = 1.0 + big * big - 2.0 * big * cy
+    r = -2.0 * big ** alpha * cz
+    s = big ** alpha * small
+
+    d = _d_of_phi_np(alpha, phi)
+    dd2 = d * d - 1.0
+    u = 2.0 * sy / one_p_a * big ** (2.0 * alpha + 1.0) * dd2
+    w = (2.0 * sin_phi / (one_p_a * one_p_a)
+         * big ** (4.0 * alpha + 1.0) * (dd2 * cz - 2.0 * d * sz))
+
+    r_prime = -2.0 * (alpha * big ** (alpha - 1.0) * big_prime * cz
+                      + big ** alpha * alpha * sz / one_p_a)
+    v = u * r - k * l * r_prime
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(dd2 == 0.0, np.nan, big ** alpha * (cz - 2.0 * d / dd2 * sz))
     delta_cap = dd2 * big * (cy - big) + 2.0 * (1.0 - big * big)
     lambda_low = cy * sz - alpha * sy * cz
     return StructureBundle(k=k, l=l, r=r, s=s, u=u, v=v, w=w, d=d, h=h,

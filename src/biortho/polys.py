@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -25,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .numerics import dd_div, dd_mul, dd_sum, dd_two_sum, log_gamma
+from .numerics import dd_div, dd_mul, dd_sum, dd_two_sum
 
 __all__ = [
     "Params",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 RELIABLE_CONDITION = 1e12
+# C(n, n//2) exceeds the double range from n = 1030 on, so no table of a
+# higher degree can be rounded
+_MAX_DEGREE = 1029
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,30 @@ def _poch_numerators(a: float, alpha: float, n: int):
     return numerator, al ** n * math.factorial(n)
 
 
+def _log_terms_beyond_range(alpha: float, a: float, b: float, n: int) -> bool:
+    """Whether some term B[r] C(r, s) A[s] of the degree-n table certainly
+    exceeds the double range: its log-Gamma form is over log(DBL_MAX) by
+    more than 1e-6, far beyond the rounding of the logs (about 1e-12)."""
+    lg = math.lgamma
+    # first a bound on all terms: B[r] = C(n+b, r) <= 2^(n + ceil b),
+    # C(r, s) <= C(n, n//2) and A[s] <= A[n]
+    c_top = (n + a + 1.0) / alpha
+    if ((n + max(0, math.ceil(b))) * math.log(2.0) - lg(n // 2 + 1.0)
+            - lg(n - n // 2 + 1.0) + lg(n + c_top) - lg(c_top)) <= _LOG_DOUBLE_MAX:
+        return False
+    log_fact = np.array([lg(k + 1.0) for k in range(n + 1)])
+    log_a = np.array([lg(n + c) - lg(c) for c in
+                      ((s + a + 1.0) / alpha for s in range(n + 1))]) - log_fact[n]
+    log_b = (lg(n + b + 1.0) - log_fact
+             - np.array([lg(n - r + b + 1.0) for r in range(n + 1)]))
+    r = np.arange(n + 1)
+    # log(B[r] C(r, s) A[s]) = (log B[r] + log r!) + (log A[s] - log s!) - log (r-s)!
+    terms = ((log_b + log_fact)[:, None] + (log_a - log_fact)
+             - log_fact[np.abs(r[:, None] - r)])
+    return bool(np.max(terms, where=r[None, :] <= r[:, None], initial=-np.inf)
+                > _LOG_DOUBLE_MAX + 1e-6)
+
+
 @lru_cache(maxsize=512)
 def _biortho_table(alpha: float, a: float, b: float, n: int):
     """Per-degree coefficient data for the biorthogonal double sum.
@@ -116,12 +145,17 @@ def _biortho_table(alpha: float, a: float, b: float, n: int):
     rounded once to double-double.  absmax[r] = max_s |B[r] C(r, s) A[s]|
     keeps the cancellation of the full double sum in the condition estimate.
     """
-    numerator, den_a = _poch_numerators(a, alpha, n)
     b_num, b_den = float(b).as_integer_ratio()
-    coef_h, coef_l, absmax = np.empty((3, n + 1))
     try:
-        # the largest A[s] and C(r, s) go first, so most overflows cost O(n)
-        numerator(n) / den_a, float(math.comb(n, n // 2))
+        # the degree limit and the largest A[s] go first, then a log bound on
+        # every term, so overflows cost O(n) big-integer and O(n^2) float work
+        if n > _MAX_DEGREE:
+            raise OverflowError
+        numerator, den_a = _poch_numerators(a, alpha, n)
+        numerator(n) / den_a
+        if _log_terms_beyond_range(alpha, a, b, n):
+            raise OverflowError
+        coef_h, coef_l, absmax = np.empty((3, n + 1))
         diff = [numerator(s) for s in range(n + 1)]
         a_abs = [v / den_a for v in diff]
         pascal, bn, bd = [1], 1, 1  # row r of C(r, s); Bnum[r], db^r r!
@@ -297,10 +331,21 @@ def eval_jacobi_recurrence(a: float, b: float, n: int, x: float) -> float:
 
 
 def normalization_at_one(p: Params, n: int) -> float:
-    """Value of the biorthogonal polynomial at x = 1."""
+    """Value of the biorthogonal polynomial at x = 1, correctly rounded.
+
+    It is A[0] = Poch((a+1)/alpha, n)/n!, an integer ratio rounded once.
+    ScopeError beyond the double range, and for n above the tables' degree
+    limit 1029, where the integers would grow without bound.
+    """
     n = _validate_degree(n)
-    c = (p.a + 1.0) / p.alpha
-    return math.exp(log_gamma(n + c) - log_gamma(n + 1.0) - log_gamma(c))
+    if n <= _MAX_DEGREE:
+        numerator, den = _poch_numerators(p.a, p.alpha, n)
+        try:
+            return numerator(0) / den
+        except OverflowError:
+            pass
+    raise ScopeError(f"the value at x = 1 of degree {n} at alpha={p.alpha!r}, "
+                     f"a={p.a!r} exceeds the range of the exact method")
 
 
 def chu_vandermonde_sides(n: int, r: int, a: float) -> Tuple[float, float]:

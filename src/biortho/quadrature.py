@@ -4,7 +4,10 @@ integrate_interval: double-exponential (tanh-sinh) rule on [-1, 1] for
 integrands f(x) * (1-x)^a * (1+x)^b with any a, b > -1.  The weight is
 applied internally in log space from the substitution variable, so the
 endpoint powers never underflow or lose digits even where x itself rounds
-to +-1.
+to +-1.  integrate_moments runs the same rule for many (a, b) pairs on
+shared nodes: each level's (a, b)-free node parts are built once and f is
+evaluated once per abscissa, while every pair keeps its own sums and
+convergence test, so its result equals its own integrate_interval call.
 
 rodrigues_contour_eval: adaptive composite Gauss-Legendre rule for the
 oscillatory contour integral representing the biorthogonal polynomial, with
@@ -20,9 +23,10 @@ summed in ascending phi, so results are deterministic.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +34,8 @@ from .errors import ConvergenceError, InputError
 from .phase import f_at_saddle, f_phase, g_amplitude, g_at_saddle, f_second_at_saddle
 from .polys import Params
 
-__all__ = ["QuadResult", "integrate_interval", "rodrigues_contour_eval"]
+__all__ = ["QuadResult", "integrate_interval", "integrate_moments",
+           "rodrigues_contour_eval"]
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
@@ -51,22 +56,22 @@ class QuadResult:
     evaluations: int
 
 
-def _node(t: float, a: float, b: float):
-    """Abscissa and log-weight of the tanh-sinh node at parameter t.
+def _node_parts(t: float):
+    """The (a, b)-free parts of the tanh-sinh node at parameter t.
 
-    Returns (x, logw) with logw = a*log(1-x) + b*log(1+x) + log(dx/dt), all
-    derived from t so the endpoint powers are exact even when x rounds to 1.
+    Returns (x, log(1-x), log(1+x), log(dx/dt)), all derived from t so the
+    endpoint powers are exact even when x rounds to 1; the node's log-weight
+    is a*log(1-x) + b*log(1+x) + log(dx/dt).
     """
     u = _HALF_PI * math.sinh(t)
-    x = math.tanh(u)
-    au = abs(u)
     # log(1 -+ x) = log 2 - log(1 + e^{+-2u})
-    log_1px = _LOG2 - (max(-2.0 * u, 0.0) + math.log1p(math.exp(-abs(2.0 * u))))
-    log_1mx = _LOG2 - (max(2.0 * u, 0.0) + math.log1p(math.exp(-abs(2.0 * u))))
+    tail = math.log1p(math.exp(-abs(2.0 * u)))
+    log_1px = _LOG2 - (max(-2.0 * u, 0.0) + tail)
+    log_1mx = _LOG2 - (max(2.0 * u, 0.0) + tail)
     # dx/dt = (pi/2) cosh t / cosh^2 u
-    log_cosh_u = au + math.log1p(math.exp(-2.0 * au)) - _LOG2
+    log_cosh_u = abs(u) + tail - _LOG2
     log_dxdt = math.log(_HALF_PI * math.cosh(t)) - 2.0 * log_cosh_u
-    return x, a * log_1mx + b * log_1px + log_dxdt
+    return math.tanh(u), log_1mx, log_1px, log_dxdt
 
 
 def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
@@ -79,62 +84,83 @@ def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
     most tol relative to max(|integral|, sum of |contributions|); the latter
     keeps the criterion meaningful for integrals that cancel to zero.
     """
-    a, b = endpoint_exponents
-    if not (a > -1.0 and b > -1.0):
+    return integrate_moments(f, [endpoint_exponents], tol)[0]
+
+
+def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]],
+                      tol: float) -> List[QuadResult]:
+    """integrate_interval for several exponent pairs (a, b) on shared nodes.
+
+    Each pair keeps its own node range, live-node mask, sums and convergence
+    test, so its QuadResult equals that of its own integrate_interval call
+    bit for bit.  Each level's node parts are built once, and f is called
+    once per level on the union of the abscissae that the unconverged pairs
+    need, so f must act elementwise.  Raises ConvergenceError for the first
+    pair still unconverged after _MAX_LEVEL step halvings.
+    """
+    pairs = [(float(a), float(b)) for a, b in exponent_pairs]
+    if not all(a > -1.0 and b > -1.0 for a, b in pairs):
         raise InputError("endpoint exponents must be > -1")
     if not tol > 0.0:
         raise InputError("tol must be positive")
-
-    def batch(ts):
-        xs = []
-        logws = []
-        for t in ts:
-            x, logw = _node(t, a, b)
-            if logw > _DEAD_LOG:
-                xs.append(x)
-                logws.append(logw)
-        if not xs:
-            return 0.0, 0.0, 0
-        xa = np.array(xs)
-        wa = np.exp(np.array(logws))
-        fv = np.asarray(f(xa), dtype=float)
-        contrib = fv * wa
-        return float(np.sum(contrib)), float(np.sum(np.abs(contrib))), len(xs)
 
     # level 0: h = 1, |t| <= t_max; weights die double-exponentially, but an
     # exponent near -1 delays that: the node log-weight is roughly
     # -2u(1+min(a,b)) + t with u ~ (pi/4)e^t, dead below -745.  Solve for the
     # cutoff and pad it; dead nodes inside the range are skipped anyway.
-    h0 = 1.0
-    smallest = min(1.0, 1.0 + a, 1.0 + b)
-    t_max = max(7.5, math.log(484.0 / smallest) + 0.5)
-    evaluations = 0
-    k_max = int(t_max / h0)
-    s, l1, cnt = batch([k * h0 for k in range(-k_max, k_max + 1)])
-    evaluations += cnt
-    total = h0 * s
-    l1_total = h0 * l1
-    prev = math.inf
-    err = math.inf
-    h = h0
-    for _ in range(1, _MAX_LEVEL + 1):
+    t_max = [max(7.5, math.log(484.0 / min(1.0, 1.0 + a, 1.0 + b)) + 0.5)
+             for a, b in pairs]
+    totals = [0.0] * len(pairs)
+    l1_totals = [0.0] * len(pairs)
+    errors = [math.inf] * len(pairs)
+    evaluations = [0] * len(pairs)
+    results: List[Optional[QuadResult]] = [None] * len(pairs)
+    h = 1.0
+    for level in range(_MAX_LEVEL + 1):
+        active = [i for i, r in enumerate(results) if r is None]
+        if not active:
+            break
+        k_max = [int(t_max[i] / h) for i in active]
+        # level 0 takes every k, later levels the odd k only
+        ks = np.arange(-max(k_max), max(k_max) + 1)
+        if level:
+            ks = ks[ks % 2 != 0]
+        parts = itertools.chain.from_iterable(_node_parts(k * h)
+                                              for k in ks.tolist())
+        x, log_1mx, log_1px, log_dxdt = np.fromiter(
+            parts, dtype=float, count=4 * ks.size).reshape(-1, 4).T
+        masks, logws = [], []
+        for i, km in zip(active, k_max):
+            a, b = pairs[i]
+            logw = a * log_1mx + b * log_1px + log_dxdt
+            masks.append((np.abs(ks) <= km) & (logw > _DEAD_LOG))
+            logws.append(logw)
+        wanted = np.logical_or.reduce(masks)
+        fv = np.zeros(ks.size)
+        if wanted.any():
+            fv[wanted] = np.broadcast_to(np.asarray(f(x[wanted]), dtype=float),
+                                         (np.count_nonzero(wanted),))
+        for i, mask, logw in zip(active, masks, logws):
+            contrib = fv[mask] * np.exp(logw[mask])
+            s_new, l1_new = float(np.sum(contrib)), float(np.sum(np.abs(contrib)))
+            evaluations[i] += int(np.count_nonzero(mask))
+            if level == 0:
+                totals[i], l1_totals[i] = h * s_new, h * l1_new
+                continue
+            prev = totals[i]
+            l1_totals[i] = 0.5 * l1_totals[i] + h * l1_new
+            totals[i] = 0.5 * totals[i] + h * s_new
+            errors[i] = abs(totals[i] - prev)
+            scale = max(abs(totals[i]), l1_totals[i])
+            if (errors[i] <= tol * scale and scale > 0.0) or scale == 0.0:
+                results[i] = QuadResult(totals[i], errors[i], evaluations[i])
         h *= 0.5
-        k_max = int(t_max / h)
-        new_ts = [k * h for k in range(-k_max, k_max + 1) if k % 2 != 0]
-        s_new, l1_new, cnt = batch(new_ts)
-        evaluations += cnt
-        prev = total
-        l1_total = 0.5 * l1_total + h * l1_new
-        total = 0.5 * total + h * s_new
-        err = abs(total - prev)
-        scale = max(abs(total), l1_total)
-        if err <= tol * scale and scale > 0.0:
-            return QuadResult(total, err, evaluations)
-        if scale == 0.0:
-            return QuadResult(total, err, evaluations)
-    raise ConvergenceError(
-        f"integrate_interval: refinement stalled at error {err:.3e} "
-        f"after {_MAX_LEVEL} levels (tol {tol:.1e})")
+    for i, r in enumerate(results):
+        if r is None:
+            raise ConvergenceError(
+                f"integrate_interval: refinement stalled at error "
+                f"{errors[i]:.3e} after {_MAX_LEVEL} levels (tol {tol:.1e})")
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ Each check returns a CheckRecord carrying the worst witness found, the
 tolerance it was judged against, and a pass/fail/skipped status.  Checks are
 pure given their arguments (random sampling is seeded), so a fixed seed and
 configuration reproduce identical records byte for byte.
+
+The lemma scans evaluate each whole angle grid with one call of the array
+forms in phase, and the biorthogonality check integrates all n+1 moments
+on shared tanh-sinh nodes (quadrature.integrate_moments).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .polys import (
     eval_biortho_grid,
     jacobi_recurrence_grid,
 )
-from .quadrature import integrate_interval
+from .quadrature import integrate_moments
 
 __all__ = [
     "CheckRecord",
@@ -71,20 +75,20 @@ def biorthogonality_check(p: Params, n: int, tol: float = 1e-7,
 
     Passes iff every |I_j|, j < n, is at most tol * |I_n| and I_n itself is
     resolved; the scale-free form is used because the defining relation fixes
-    no magnitude for I_n.
+    no magnitude for I_n.  All n+1 moments share their tanh-sinh nodes, so
+    P_n is evaluated once per abscissa.
     """
     if n < 1:
         raise InputError("biorthogonality_check requires n >= 1")
     params = {"alpha": p.alpha, "a": p.a, "b": p.b, "n": n}
-    moments = []
+
+    def integrand(xs):
+        vals, _ = eval_biortho_grid(p, n, xs)
+        return vals
     try:
-        for j in range(n + 1):
-            def integrand(xs):
-                vals, _ = eval_biortho_grid(p, n, xs)
-                return vals
-            res = integrate_interval(integrand, (p.alpha * j + p.a, p.b),
-                                     quad_tol)
-            moments.append(res.value)
+        moments = [res.value for res in integrate_moments(
+            integrand, [(p.alpha * j + p.a, p.b) for j in range(n + 1)],
+            quad_tol)]
     except ConvergenceError as exc:
         return _record("biorthogonality", params, False,
                        {"reason": f"quadrature did not converge: {exc}"},
@@ -231,19 +235,16 @@ def saddle_and_concavity_check(grid: Tuple[Sequence[float], Sequence[float]],
     """Saddle residual, uniqueness of the sign change of Re f', and
     concavity Re f'' < 0 at each (alpha, theta) grid point."""
     alphas, thetas = grid
+    phis = np.arange(1, scan_grid + 1) * _PI / (scan_grid + 1)
     records = []
     for alpha in alphas:
         for theta in thetas:
             p = Params(alpha, 0.0, 0.0)
-            residual = abs(phase.f_prime(p, theta, theta))
+            residual = float(abs(phase.f_prime(p, theta, theta)))
             f2 = phase.f_second_at_saddle(p, theta)
-            signs = []
-            for i in range(scan_grid):
-                ph = (i + 1) * _PI / (scan_grid + 1)
-                re = phase.f_prime(p, theta, ph).real
-                if re != 0.0:
-                    signs.append(re > 0.0)
-            changes = sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+            re = phase.f_prime(p, theta, phis).real
+            signs = re[re != 0.0] > 0.0
+            changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
             ok = residual <= tol and changes == 1 and f2.real < 0.0
             records.append(_record(
                 "saddle_and_concavity",
@@ -267,33 +268,31 @@ def monotonicity_scan(alpha: float, theta: float,
     if grid_size < 100:
         raise InputError("grid_size must be >= 100")
     p = Params(alpha, 0.0, 0.0)
-    base = [(i + 1) * _PI / (grid_size + 1) for i in range(grid_size)]
+    base = np.arange(1, grid_size + 1) * _PI / (grid_size + 1)
     spacing = _PI / (grid_size + 1)
     lo = max(spacing / 10.0, theta - 10.0 * spacing)
     hi = min(_PI - spacing / 10.0, theta + 10.0 * spacing)
-    fine = [lo + k * (hi - lo) / 200.0 for k in range(201)]
-    merged = sorted(base + fine)
-    # drop near-coincident points: strict comparison is meaningless there
-    grid = [merged[0]]
-    for ph in merged[1:]:
-        if ph - grid[-1] > 1e-9:
-            grid.append(ph)
-    values = [phase.t_modulus(p, theta, ph) for ph in grid]
-    violations = []
-    for (p1, v1), (p2, v2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if p2 <= theta and not v2 > v1:
-            violations.append((p1, p2, v1, v2))
-        elif p1 >= theta and not v2 < v1:
-            violations.append((p1, p2, v1, v2))
+    fine = lo + np.arange(201) * (hi - lo) / 200.0
+    merged = np.sort(np.concatenate([base, fine]))
+    # drop near-coincident points: strict comparison is meaningless there.
+    # Only a base point and a fine point can coincide (each family is spaced
+    # far wider than 1e-9), so the previous point is the last one kept.
+    grid = merged[np.concatenate([[True], np.diff(merged) > 1e-9])]
+    values = phase.t_modulus(p, theta, grid)
+    p1, p2, v1, v2 = grid[:-1], grid[1:], values[:-1], values[1:]
+    bad = ((p2 <= theta) & ~(v2 > v1)) | ((p1 >= theta) & ~(v2 < v1))
+    violations = np.flatnonzero(bad)
     params = {"alpha": alpha, "theta": theta, "grid": grid_size}
     if alpha >= 1.0:
-        ok = not violations
-        witness = {"violations": len(violations),
-                   "first_violation": violations[0][:2] if violations else None}
+        ok = not violations.size
+        first = violations[0] if violations.size else None
+        witness = {"violations": int(violations.size),
+                   "first_violation": None if first is None
+                   else (float(p1[first]), float(p2[first]))}
         return _record("t_monotone_descent", params, ok, witness, 0.0)
     # evidence-only for alpha < 1: the descent-structure report
-    witness = {"violations": len(violations),
-               "monotone_on_grid": not violations,
+    witness = {"violations": int(violations.size),
+               "monotone_on_grid": not violations.size,
                "note": "no pass/fail claim for alpha < 1; scan evidence only"}
     return _record("t_descent_structure", params, True, witness, 0.0)
 
@@ -306,20 +305,22 @@ def claim_check(alpha: float, grid_size: int = 2000,
     if alpha < 1.0:
         raise InputError("claim_check applies to alpha >= 1")
     p0 = phase.phi_star(alpha)
-    worst_quad = -1.0
+    phis = np.arange(1, grid_size + 1) * _PI / (grid_size + 1)
+    sb = phase.structure_functions_grid(alpha, phis)
+    u, v, w, s, h = sb.u, sb.v, sb.w, sb.s, sb.h
+    us2, vs = u * s ** 2, v * s
+    scale = np.maximum(np.maximum.reduce([abs(us2), abs(vs), abs(w)]), 1e-300)
+    worst_quad = float(np.max(abs(us2 + vs + w) / scale, initial=-1.0))
+    u_zero = abs(u) <= tol * np.maximum.reduce([abs(u), abs(v), abs(w)])
+    # the last failing angle is the one reported
+    failing = np.flatnonzero((u_zero & ~(w < 0.0))
+                             | (~u_zero & (0.0 < h) & (h < 1.0)))
     dichotomy_fail = None
-    for i in range(grid_size):
-        ph = (i + 1) * _PI / (grid_size + 1)
-        sb = phase.structure_functions(alpha, ph)
-        scale = max(abs(sb.u * sb.s ** 2), abs(sb.v * sb.s), abs(sb.w), 1e-300)
-        worst_quad = max(worst_quad,
-                         abs(sb.u * sb.s ** 2 + sb.v * sb.s + sb.w) / scale)
-        u_scale = max(abs(sb.u), abs(sb.v), abs(sb.w))
-        if abs(sb.u) <= tol * u_scale:
-            if not sb.w < 0.0:
-                dichotomy_fail = {"phi": ph, "u": sb.u, "w": sb.w}
-        elif sb.h is not None and 0.0 < sb.h < 1.0:
-            dichotomy_fail = {"phi": ph, "u": sb.u, "h": sb.h}
+    if failing.size:
+        i = failing[-1]
+        dichotomy_fail = {"phi": float(phis[i]), "u": float(u[i])}
+        dichotomy_fail.update({"w": float(w[i])} if u_zero[i]
+                              else {"h": float(h[i])})
     sb0 = phase.structure_functions(alpha, p0)
     u0_scale = max(abs(sb0.u), abs(sb0.v), abs(sb0.w))
     star_ok = abs(sb0.u) <= 1e-6 * u0_scale and sb0.w < 0.0

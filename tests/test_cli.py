@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from biortho.cli import main
 from biortho.errors import InputError
 
 PI = math.pi
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_all_seed7.jsonl"
 
 
 def run(capsys, *argv):
@@ -41,6 +43,17 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "contour" in err
+
+    def test_exact_value_at_one_beyond_double_range_exit_three(self, capsys):
+        # x = 1 reads P_n(1) = Poch((a+1)/alpha, n)/n! directly, which
+        # overflows here; the same command at x = 0.5 is refused the same way
+        for x in ("1", "0.5"):
+            code, out, err = run(capsys, "eval", "--alpha", "0.001", "--a", "0",
+                                 "--b", "0", "--n", "800", "--x", x,
+                                 "--method", "exact")
+            assert code == 3, x
+            assert out == ""
+            assert "exceed" in err
 
     def test_allow_unproven(self, capsys):
         code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--a", "0",
@@ -174,6 +187,21 @@ class TestVerify:
         assert main(["verify", "--suite", "all", "--seed", "7",
                      "--config", str(cfg), "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_default_suite_matches_golden_bytes(self, tmp_path, jobs):
+        """`verify --suite all --seed 7` prints the checked-in bytes.
+
+        Some witnesses' last digits depend on the libm and on numpy's SIMD
+        kernels; the file was written on x86-64 with AVX-512, glibc and
+        numpy 2.4.  Regenerate it with `python -m biortho.cli verify --suite
+        all --seed 7 --jobs 1 --output tests/data/verify_all_seed7.jsonl`
+        only together with a note of every value that moved.
+        """
+        out = tmp_path / "verify.jsonl"
+        assert main(["verify", "--suite", "all", "--seed", "7", "--jobs", jobs,
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
 
     def test_format_mismatch(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "identities",

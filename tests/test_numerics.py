@@ -14,35 +14,7 @@ from biortho.numerics import (
     fd_derivative,
     find_root_bisect,
     fit_loglog_slope,
-    log_gamma,
 )
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("x, expected", [
-        (1.0, 0.0),
-        (2.0, 0.0),
-        (0.5, 0.5 * math.log(math.pi)),
-    ])
-    def test_known_values(self, x, expected):
-        assert log_gamma(x) == pytest.approx(expected, abs=1e-14)
-
-    def test_against_stdlib_on_wide_range(self):
-        xs = np.geomspace(1e-3, 1e6, 4000)
-        for x in xs:
-            ref = math.lgamma(float(x))
-            assert abs(log_gamma(float(x)) - ref) <= 1e-13 * max(1.0, abs(ref))
-
-    def test_recurrence(self):
-        # lg(x+1) - lg(x) = ln x
-        for x in np.linspace(0.5, 100.0, 1000):
-            x = float(x)
-            assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) <= 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 class TestComplexPow:

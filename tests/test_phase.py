@@ -224,10 +224,56 @@ class TestAmplitudeFunction:
         assert phase.g_amplitude(p, theta, phi) == pytest.approx(raw, rel=1e-12)
 
 
-class TestArrayForm:
-    """f_phase and g_amplitude on an array of phi equal their float calls."""
+ARRAY_FORMS = [phase.f_phase, phase.g_amplitude, phase.t_modulus,
+               phase.f_prime]
 
-    @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
+
+def scalar_t_modulus(p, theta, phi):
+    """t_modulus in scalar libm arithmetic, with the condition number of
+    its denominator, a cancelling sum near the saddle."""
+    alpha = p.alpha
+    big, _, z, cy, _ = phase._frame(alpha, phi)
+    s_theta = phase._s_value(alpha, theta)
+    k = big ** (2.0 * alpha)
+    l = 1.0 + big * big - 2.0 * big * cy
+    middle = 2.0 * s_theta * big ** alpha * math.cos(z)
+    den = k - middle + s_theta * s_theta
+    return k * l / den, 1.0 + (k + abs(middle) + s_theta * s_theta) / abs(den)
+
+
+def scalar_f_prime(p, theta, phi):
+    """f_prime in scalar libm arithmetic, with the condition numbers of its
+    two cancelling differences s(phi) - s(theta) and head - s(theta)."""
+    alpha = p.alpha
+    big, y, z, _, _ = phase._frame(alpha, phi)
+    s_theta = phase._s_value(alpha, theta)
+    small = phase._theta_major(alpha, phi)
+    s_phi = big ** alpha * small
+    upp = -2.0 * (big / small) * (s_phi - s_theta) * cmath.exp(-1j * (PI - phi))
+    head = big ** alpha * cmath.exp(-1j * z)
+    low = (alpha * (2.0 * head) * (1.0 - big * cmath.exp(-1j * y))
+           * (-2.0 * (head - s_theta)))
+    kappa = (1.0 + (s_phi + s_theta) / abs(s_phi - s_theta)
+             + (abs(head) + s_theta) / abs(head - s_theta))
+    return upp / low * phase._xi_prime(alpha, phi, big, z), kappa
+
+
+def random_scan_cases(seed, count=40, points=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = rng.choice([1.0, 2.0, 4.0, rng.uniform(0.3, 5.0)])
+        theta = rng.uniform(0.05, PI - 0.05)
+        yield alpha, theta, np.array([rng.uniform(1e-6, PI - 1e-6)
+                                      for _ in range(points)])
+
+
+class TestArrayForm:
+    """The functions that take phi arrays equal their float calls bitwise,
+    and match the scalar libm forms of the parent code to within 4 ulp times
+    the condition number of the cancelling sums in each formula (numpy's
+    pow, exp, log and tan may round differently from libm by 1 ulp)."""
+
+    @pytest.mark.parametrize("fn", ARRAY_FORMS)
     def test_bitwise_equal_to_float_calls(self, fn):
         rng = random.Random(11)
         for _ in range(40):
@@ -239,10 +285,50 @@ class TestArrayForm:
             batch = fn(p, theta, phis)
             assert batch.shape == phis.shape
             singles = [fn(p, theta, float(v)) for v in phis.flat]
-            assert all(isinstance(v, complex) for v in singles)
+            assert all(isinstance(v, (float, complex)) for v in singles)
             assert np.array(singles).tobytes() == batch.tobytes()
 
-    @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
+    @pytest.mark.parametrize("form, scalar", [(phase.t_modulus, scalar_t_modulus),
+                                              (phase.f_prime, scalar_f_prime)])
+    def test_within_four_ulp_of_scalar_form(self, form, scalar):
+        for alpha, theta, phis in random_scan_cases(21):
+            p = Params(alpha, 0.0, 0.0)
+            values = form(p, theta, phis)
+            ref, kappa = np.array([scalar(p, theta, float(v)) for v in phis]).T
+            ulps = np.abs(values - ref) / np.spacing(np.abs(ref).real)
+            assert np.all(ulps <= 4.0 * kappa.real), (alpha, theta)
+
+    def test_structure_functions_within_four_ulp_of_scalar_form(self):
+        # d cancels near pi, and its error reaches every field built on it;
+        # u, v and w are compared on the scale of their row, as the claim
+        # scan does, and h also inherits the cancellation of d^2 - 1
+        for alpha, _, phis in random_scan_cases(22):
+            array = phase.structure_functions_grid(alpha, phis)
+            ref = [phase.structure_functions(alpha, float(v)) for v in phis]
+
+            def field(name):
+                return np.array([getattr(r, name) for r in ref], dtype=float)
+            d = field("d")
+            kappa_d = 1.0 + (np.abs((1.0 + alpha) / np.tan(phis))
+                             + np.abs(alpha / np.tan(alpha * (PI - phis)
+                                                     / (1.0 + alpha)))) / np.abs(d)
+            row = np.maximum.reduce([np.abs(field(n)) for n in "uvw"])
+            scales = {"k": 1.0, "l": 1.0, "r": 1.0, "s": 1.0, "lambda_low": 1.0,
+                      "d": kappa_d, "delta_cap": kappa_d}
+            for name, kappa in scales.items():
+                ulps = (np.abs(getattr(array, name) - field(name))
+                        / np.spacing(np.abs(field(name))))
+                assert np.all(ulps <= 4.0 * kappa), (alpha, name)
+            for name in "uvw":
+                ulps = np.abs(getattr(array, name) - field(name)) / np.spacing(row)
+                assert np.all(ulps <= 4.0 * kappa_d), (alpha, name)
+            h = field("h")  # NaN where the scalar form gives None
+            assert np.array_equal(np.isnan(array.h), np.isnan(h))
+            kappa_h = kappa_d * (1.0 + (d * d + 1.0) / np.abs(d * d - 1.0))
+            ulps = np.abs(array.h - h) / np.spacing(np.abs(h))
+            assert np.all(ulps[~np.isnan(h)] <= 4.0 * kappa_h[~np.isnan(h)])
+
+    @pytest.mark.parametrize("fn", ARRAY_FORMS)
     @pytest.mark.parametrize("bad", [0.0, PI, -0.5, 4.0, math.nan])
     def test_bad_phi_raises_as_for_float(self, fn, bad):
         p = Params(2.0, 0.5, -0.3)

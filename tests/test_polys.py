@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -158,6 +159,16 @@ class TestBiorthoTable:
         with pytest.raises(ScopeError, match="contour"):
             eval_biortho(Params(1.0, 0.0, 0.0), 400, 0.0)
 
+    def test_table_beyond_double_range_refused_before_the_rows(self):
+        # the largest term first overflows in a late row; the log bound
+        # refuses before the big-integer row loop (seconds for these)
+        for args in ((97.3, 0.2, 0.1, 1029), (100.0, 0.0, 0.0, 1029)):
+            polys._biortho_table.cache_clear()
+            start = time.monotonic()
+            with pytest.raises(ScopeError, match="contour"):
+                polys._biortho_table(*args)
+            assert time.monotonic() - start < 0.5, args
+
     def test_large_degree_conditions_finite_without_warnings(self):
         xs = np.linspace(-0.999, 0.999, 41)
         with warnings.catch_warnings():
@@ -214,6 +225,21 @@ class TestNormalization:
         # (a+1)/alpha = 1 makes the Gamma ratio collapse
         assert normalization_at_one(Params(2.0, 1.0, 0.0), 3) == \
             pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, a", [(2.0, 0.5), (0.7, -0.45), (1 / 3, 1.25)])
+    def test_correctly_rounded(self, alpha, a):
+        # Poch(c, n)/n! with c = (a+1)/alpha the exact rational of the floats
+        c = (Fraction(a) + 1) / Fraction(alpha)
+        exact = Fraction(1)
+        for n in range(0, 60):
+            assert normalization_at_one(Params(alpha, a, 0.0), n) == float(exact)
+            exact *= (c + n) / (n + 1)
+
+    @pytest.mark.parametrize("alpha, n", [(0.001, 800), (2.0, 1030)])
+    def test_beyond_range_is_a_scope_error(self, alpha, n):
+        # an overflowing value, and a degree past the exact tables' limit
+        with pytest.raises(ScopeError):
+            eval_biortho(Params(alpha, 0.0, 0.0), n, 1.0)
 
 
 class TestChuVandermonde:

@@ -1,16 +1,23 @@
 import cmath
+import itertools
 import math
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biortho import phase, quadrature
 from biortho.errors import ConvergenceError
-from biortho.numerics import log_gamma
-from biortho.polys import Params, eval_biortho, eval_jacobi_rep
-from biortho.quadrature import QuadResult, integrate_interval, rodrigues_contour_eval
+from biortho.polys import Params, eval_biortho, eval_biortho_grid, eval_jacobi_rep
+from biortho.quadrature import (
+    QuadResult,
+    integrate_interval,
+    integrate_moments,
+    rodrigues_contour_eval,
+)
 
 PI = math.pi
 
@@ -18,7 +25,7 @@ PI = math.pi
 def beta_moment(a, b, j=0):
     # integral of (1-x)^(a+j) (1+x)^b over (-1, 1)
     return 2.0 ** (a + j + b + 1) * math.exp(
-        log_gamma(a + j + 1) + log_gamma(b + 1) - log_gamma(a + j + b + 2))
+        math.lgamma(a + j + 1) + math.lgamma(b + 1) - math.lgamma(a + j + b + 2))
 
 
 class TestIntervalRule:
@@ -69,6 +76,115 @@ class TestIntervalRule:
         with pytest.raises(ConvergenceError):
             integrate_interval(lambda x: np.where(x > 0.123456, 1.0, 0.0),
                                (0.0, 0.0), 1e-14)
+
+
+def reference_interval(f, a, b, tol):
+    """integrate_interval as one scalar loop: one node at a time, the live
+    nodes of a level evaluated together; (value, error, evaluations)."""
+    def node(t):
+        u = 0.5 * PI * math.sinh(t)
+        tail = math.log1p(math.exp(-abs(2.0 * u)))
+        log_1px = math.log(2.0) - (max(-2.0 * u, 0.0) + tail)
+        log_1mx = math.log(2.0) - (max(2.0 * u, 0.0) + tail)
+        log_cosh_u = abs(u) + tail - math.log(2.0)
+        log_dxdt = math.log(0.5 * PI * math.cosh(t)) - 2.0 * log_cosh_u
+        return math.tanh(u), a * log_1mx + b * log_1px + log_dxdt
+
+    def level(ts):
+        live = [(x, w) for x, w in map(node, ts) if w > -745.0]
+        if not live:
+            return 0.0, 0.0, 0
+        xs, logws = map(np.array, zip(*live))
+        contrib = np.asarray(f(xs), dtype=float) * np.exp(logws)
+        return float(np.sum(contrib)), float(np.sum(np.abs(contrib))), len(live)
+
+    t_max = max(7.5, math.log(484.0 / min(1.0, 1.0 + a, 1.0 + b)) + 0.5)
+    total, l1_total, evaluations = level([float(k) for k in range(
+        -int(t_max), int(t_max) + 1)])
+    h = 1.0
+    for _ in range(12):
+        h *= 0.5
+        k_max = int(t_max / h)
+        s_new, l1_new, count = level([k * h for k in range(-k_max, k_max + 1)
+                                      if k % 2])
+        evaluations += count
+        prev, total = total, 0.5 * total + h * s_new
+        l1_total = 0.5 * l1_total + h * l1_new
+        scale = max(abs(total), l1_total)
+        if abs(total - prev) <= tol * scale or scale == 0.0:
+            return total, abs(total - prev), evaluations
+    raise ConvergenceError("stalled")
+
+
+class TestSharedMoments:
+    """integrate_moments gives every pair the QuadResult of its own
+    integrate_interval call, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_separate_calls(f, pairs, tol):
+        def outcome(call):
+            try:
+                return [(r.value.hex(), r.error_estimate.hex(), r.evaluations)
+                        for r in call()]
+            except ConvergenceError as exc:
+                return str(exc)
+        singles = [outcome(lambda pair=pair: [integrate_interval(f, pair, tol)])
+                   for pair in pairs]
+        stalled = [single for single in singles if isinstance(single, str)]
+        # a stalled pair raises the error of the first one that stalls alone
+        assert outcome(lambda: integrate_moments(f, pairs, tol)) == (
+            stalled[0] if stalled else [single[0] for single in singles])
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_biorthogonality_moments(self, alpha):
+        # the moments of acceptance criterion 2
+        for a, b in itertools.product((-0.5, 0.0, 1.2), repeat=2):
+            p = Params(alpha, a, b)
+            for n in (1, 2, 5, 8):
+                self.assert_same_as_separate_calls(
+                    lambda xs, n=n: eval_biortho_grid(p, n, xs)[0],
+                    [(alpha * j + a, b) for j in range(n + 1)], 1e-10)
+
+    # Exponents closer to -1 than -0.999 need hundreds of thousands of nodes
+    # per call (the cutoff t_max grows like log(1/(1+a))) and may stall;
+    # test_exponents_near_minus_one covers that range.
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-0.999, 6.0), st.floats(-0.999, 6.0)),
+                    min_size=1, max_size=5),
+           st.sampled_from([1e-12, 1e-10, 1e-7]))
+    def test_drawn_exponents(self, pairs, tol):
+        self.assert_same_as_separate_calls(
+            lambda xs: np.cos(3.0 * xs) + xs * xs, pairs, tol)
+
+    @pytest.mark.parametrize("f", [lambda x: 1.0, np.cos,
+                                   lambda x: 1.0 / (1.1 - x),
+                                   lambda x: (1.0 - x) ** 3])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.9, 2.0), (1.2, -0.5),
+                                      (5.5, -0.999)])
+    def test_interval_rule_matches_scalar_loop(self, f, a, b):
+        res = integrate_interval(f, (a, b), 1e-11)
+        value, err, evaluations = reference_interval(f, a, b, 1e-11)
+        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) \
+            == (value.hex(), err.hex(), evaluations)
+
+    def test_constant_integrand(self):
+        # a scalar f value is broadcast over the abscissae
+        self.assert_same_as_separate_calls(lambda x: 1.0,
+                                           [(0.5, 0.0), (-0.9, 2.0)], 1e-12)
+
+    def test_stalled_pair_raises(self):
+        # the jump stalls every pair; the error is that of the first pair
+        def f(x):
+            return np.where(x > 0.123456, 1.0, 0.0)
+        with pytest.raises(ConvergenceError) as single:
+            integrate_interval(f, (0.5, 0.0), 1e-14)
+        with pytest.raises(ConvergenceError) as shared:
+            integrate_moments(f, [(0.5, 0.0), (0.0, 0.0)], 1e-14)
+        assert str(shared.value) == str(single.value)
+
+    def test_bad_exponents(self):
+        with pytest.raises(ValueError):
+            integrate_moments(lambda x: 1.0, [(0.0, 0.0), (0.0, -1.0)], 1e-10)
 
 
 class TestContourRule:

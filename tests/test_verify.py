@@ -2,8 +2,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+from biortho import phase
 from biortho.polys import Params
 from biortho.verify import (
     biorthogonality_check,
@@ -85,6 +87,65 @@ class TestLemmaScans:
         assert rec.status == "pass"
         assert rec.witness["dichotomy_failure"] is None
         assert rec.witness["w_at_star"] < 0.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("theta", [0.2, PI / 3, 2.8])
+    def test_scans_match_pointwise_loops(self, alpha, theta):
+        # the array scans decide as the per-angle loops they replace: same
+        # statuses and integer witnesses (theta = 0.2 with alpha < 1 has
+        # hundreds of T violations and several sign changes of Re f')
+        p = Params(alpha, 0.0, 0.0)
+        saddle = saddle_and_concavity_check(((alpha,), (theta,)),
+                                            scan_grid=300)[0]
+        signs = [re > 0.0 for re in
+                 (phase.f_prime(p, theta, (i + 1) * PI / 301).real
+                  for i in range(300)) if re != 0.0]
+        changes = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+        assert saddle.witness["sign_changes"] == changes
+        assert saddle.status == (
+            "pass" if abs(phase.f_prime(p, theta, theta)) <= 1e-10
+            and changes == 1 and phase.f_second_at_saddle(p, theta).real < 0.0
+            else "fail")
+
+        rec = monotonicity_scan(alpha, theta, 300)
+        spacing = PI / 301
+        lo = max(spacing / 10.0, theta - 10.0 * spacing)
+        hi = min(PI - spacing / 10.0, theta + 10.0 * spacing)
+        merged = sorted([(i + 1) * PI / 301 for i in range(300)]
+                        + [lo + k * (hi - lo) / 200.0 for k in range(201)])
+        grid = [merged[0]]
+        for ph in merged[1:]:
+            if ph - grid[-1] > 1e-9:
+                grid.append(ph)
+        values = [phase.t_modulus(p, theta, ph) for ph in grid]
+        violations = [(p1, p2) for p1, p2, v1, v2 in
+                      zip(grid, grid[1:], values, values[1:])
+                      if (p2 <= theta and not v2 > v1)
+                      or (p1 >= theta and not v2 < v1)]
+        assert rec.witness["violations"] == len(violations)
+        if alpha >= 1.0:
+            assert rec.status == ("pass" if not violations else "fail")
+            assert rec.witness["first_violation"] == (
+                violations[0] if violations else None)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-16, 0.9])
+    def test_claim_matches_pointwise_loop(self, alpha, tol):
+        rec = claim_check(alpha, 300, tol)
+        worst, failure = -1.0, None
+        for i in range(300):
+            ph = (i + 1) * PI / 301
+            sb = phase.structure_functions_grid(alpha, np.array([ph]))
+            u, v, w, s, h = (float(getattr(sb, k)[0]) for k in "uvwsh")
+            scale = max(abs(u * s ** 2), abs(v * s), abs(w), 1e-300)
+            worst = max(worst, abs(u * s ** 2 + v * s + w) / scale)
+            if abs(u) <= tol * max(abs(u), abs(v), abs(w)):
+                if not w < 0.0:
+                    failure = {"phi": ph, "u": u, "w": w}
+            elif 0.0 < h < 1.0:
+                failure = {"phi": ph, "u": u, "h": h}
+        assert rec.witness["worst_quadratic_residual"] == worst
+        assert rec.witness["dichotomy_failure"] == failure
 
     def test_claim_scope(self):
         with pytest.raises(ValueError):
