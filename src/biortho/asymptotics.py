@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import InputError, ScopeError
 from .numerics import fit_loglog_slope
-from .phase import saddle_data, x_of_theta
+from .phase import SaddleData, saddle_data, sine_ratio, x_of_theta
 from .polys import Params, eval_biortho
 from .quadrature import rodrigues_contour_eval
 
@@ -42,13 +42,13 @@ _SQRT_PI = math.sqrt(math.pi)
 _EXACT_REFERENCE_MAX_N = 40
 
 
-def _leading_parts(p: Params, n: int, theta: float):
-    """(scaled asymptotic value, scaled envelope, oscillation ratio, log rho).
+def _leading_parts(p: Params, sd: SaddleData, n: int, theta: float):
+    """(scaled asymptotic value, scaled envelope, oscillation ratio, log rho)
+    from the n-free saddle data sd at theta.
 
     'Scaled' means divided by rho^n; the oscillation ratio is
     |Re{M e^{i n theta}}| / |M| in [0, 1].
     """
-    sd = saddle_data(p, theta)
     amp = math.sqrt(2.0) * p.alpha / math.sqrt(1.0 + p.alpha) / _SQRT_PI
     osc = (sd.m_alpha * cmath.exp(1j * n * theta)).real
     scaled_value = amp * osc / math.sqrt(n)
@@ -71,7 +71,8 @@ def darboux_biortho(p: Params, n: int, theta: float,
             f"{p.alpha}); pass allow_unproven=True to evaluate anyway")
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
-    scaled_value, _, _, log_rho = _leading_parts(p, int(n), theta)
+    scaled_value, _, _, log_rho = _leading_parts(p, saddle_data(p, theta),
+                                                 int(n), theta)
     return math.exp(n * log_rho) * scaled_value
 
 
@@ -139,9 +140,10 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("n_list must be strictly increasing")
+    sd = saddle_data(p, theta)
     rows = []
     for n in n_list:
-        scaled_asym, scaled_env, ratio, log_rho = _leading_parts(p, n, theta)
+        scaled_asym, scaled_env, ratio, log_rho = _leading_parts(p, sd, n, theta)
         scaled_ref = _scaled_reference(p, n, theta, reference_mode,
                                        contour_tol, log_rho)
         rho_n = math.exp(n * log_rho)  # may underflow to 0 for huge n
@@ -175,9 +177,9 @@ def envelope_bound(p: Params, theta: float, n_list: Sequence[int], *,
     if p.alpha < 1.0:
         raise ScopeError("envelope_bound applies to the proven range alpha >= 1")
     n_list = [int(n) for n in n_list]
+    log_rho = math.log(sine_ratio(p.alpha, theta))
     rows = []
     for n in n_list:
-        _, _, _, log_rho = _leading_parts(p, n, theta)
         scaled_ref = _scaled_reference(p, n, theta, "auto", contour_tol, log_rho)
         rows.append((n, abs(scaled_ref) * math.sqrt(n)))
     const = max(v for _, v in rows)

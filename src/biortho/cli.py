@@ -241,10 +241,10 @@ def _cmd_contour_dump(args, config: RunConfig) -> int:
     lines: List[str] = []
     if args.what == "contour":
         lines.append("phi,re_xi,im_xi")
-        for i in range(args.points):
-            phi = -_PI + 2.0 * _PI * i / args.points
-            cp = contour_point(p, phi)
-            lines.append(f"{phi!r},{cp.xi.real!r},{cp.xi.imag!r}")
+        phis = [-_PI + 2.0 * _PI * i / args.points for i in range(args.points)]
+        xi = contour_point(p, np.array(phis)).xi
+        lines.extend(f"{phi!r},{re!r},{im!r}" for phi, re, im
+                     in zip(phis, xi.real.tolist(), xi.imag.tolist()))
     elif args.what == "T":
         if args.theta is None:
             raise InputError("--what T requires --theta")
@@ -263,11 +263,11 @@ def _cmd_contour_dump(args, config: RunConfig) -> int:
         half_width = float(args.n) ** (-0.5 + args.delta)
         lo, hi = args.theta - half_width, args.theta + half_width
         lines.append("phi,re_xi,im_xi,segment")
-        for i in range(args.points):
-            phi = (i + 1) * _PI / (args.points + 1)
-            cp = contour_point(p, phi)
+        phis = [(i + 1) * _PI / (args.points + 1) for i in range(args.points)]
+        xi = contour_point(p, np.array(phis)).xi
+        for phi, re, im in zip(phis, xi.real.tolist(), xi.imag.tolist()):
             segment = "left" if phi <= lo else ("center" if phi < hi else "right")
-            lines.append(f"{phi!r},{cp.xi.real!r},{cp.xi.imag!r},{segment}")
+            lines.append(f"{phi!r},{re!r},{im!r},{segment}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

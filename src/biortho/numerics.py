@@ -75,11 +75,12 @@ def fd_derivative(f: Callable[[float], complex], x: float, order: int) -> comple
     """Central finite difference of order 1, 2 or 3 with one Richardson step.
 
     The stencil spans x +- 2h with h scaled to max(1, |x|); evaluation points
-    must lie inside f's domain (f itself raises otherwise).
+    must lie inside f's domain (f itself raises otherwise).  x may be an
+    array when f takes arrays elementwise.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"fd_derivative: order must be 1, 2 or 3, got {order}")
-    h = _FD_BASE_STEP[order] * max(1.0, abs(x))
+    h = _FD_BASE_STEP[order] * np.maximum(1.0, np.abs(x))
     d1 = _central_difference(f, x, h, order)
     d2 = _central_difference(f, x, 0.5 * h, order)
     # (4 D(h/2) - D(h)) / 3 removes the leading h^2 error term

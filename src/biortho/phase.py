@@ -7,9 +7,12 @@ modulus-square T, all saddle-point data (including the n-free amplitude
 factor M), plus the structure functions k, l, r, s, u, v, w, d, h, Delta
 and lambda used by the monotonicity and claim scans.
 
-The functions that the contour oracle and the lemma scans call on whole
-grids take phi as an array: f_phase, g_amplitude, t_modulus and f_prime
-(each also as a float), and structure_functions_grid.
+Each angle quantity has one implementation, on numpy arrays.  The public
+functions of an angle take it as a float or an array: an array gives values
+of its shape, and a float is the length-1 case, returned as a Python float
+or complex (or a ContourPoint or StructureBundle of them).  The functions
+of (alpha, angle) also take alpha as an array that broadcasts against the
+angles.  The saddle data are taken at one theta.
 
 All functions are pure; angles are radians in the open interval (0, pi),
 with the proven limit values substituted at exact endpoints where a contract
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -48,7 +53,6 @@ __all__ = [
     "saddle_data",
     "sqrt_f_second",
     "structure_functions",
-    "structure_functions_grid",
     "t_modulus",
     "t_of_theta",
     "theta_major",
@@ -60,11 +64,13 @@ __all__ = [
 _PI = math.pi
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not alpha > 0.0:
+def _check_alpha(alpha):
+    # alpha > 0 as a float, or as a float array that broadcasts against the
+    # angles (the identity suite passes one alpha per sampled angle)
+    checked = np.asarray(alpha, dtype=float)
+    if not (checked > 0.0).all():
         raise InputError(f"alpha must be > 0, got {alpha!r}")
-    return alpha
+    return checked if checked.ndim else float(checked)
 
 
 def _check_angle_open(t: float, name: str = "angle") -> float:
@@ -72,16 +78,6 @@ def _check_angle_open(t: float, name: str = "angle") -> float:
     if not (0.0 < t < _PI):
         raise InputError(f"{name} must lie in (0, pi), got {t!r}")
     return t
-
-
-def _sin_angle(t: float, v: float) -> float:
-    # sin(t) with v = pi - t; the complement form keeps full relative
-    # accuracy when t is near pi (v is exact there by Sterbenz).
-    return math.sin(t) if t <= 0.5 * _PI else math.sin(v)
-
-
-def _cos_angle(t: float, v: float) -> float:
-    return math.cos(t) if t <= 0.5 * _PI else -math.cos(v)
 
 
 def _check_angles_open(t, name: str = "angle") -> np.ndarray:
@@ -94,63 +90,69 @@ def _check_angles_open(t, name: str = "angle") -> np.ndarray:
     return t
 
 
-def _like(t, values: np.ndarray):
-    # values shaped like the caller's t: one element for a float t
-    return values if np.ndim(t) else values[0]
+def _like(values: np.ndarray, *inputs):
+    # values as the caller gave its inputs: a Python scalar when every input
+    # is a float, else the array
+    return values if any(map(np.ndim, inputs)) else values.item(0)
 
 
-def theta_major(alpha: float, t: float) -> float:
+def _with_limits(t, name: str, limits: dict, fn) -> np.ndarray:
+    """fn at the angles t in (0, pi), and the proven limit value at each
+    exact end of t that is a key of limits."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    inner = (ts > 0.0) & (ts < _PI)
+    if inner.all():
+        return fn(ts)
+    _check_angles_open(ts[~np.isin(ts, list(limits))], name)
+    values = fn(np.where(inner, ts, 0.5 * _PI))
+    for end, limit in limits.items():
+        values = np.where(ts == end, limit, values)
+    return values
+
+
+def _sine(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # sin(t) with v = pi - t; the complement form keeps full relative
+    # accuracy when t is near pi (v is exact there by Sterbenz).
+    return np.sin(np.where(t <= 0.5 * _PI, t, v))
+
+
+def _cosine(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    near = t <= 0.5 * _PI
+    c = np.cos(np.where(near, t, v))
+    return np.where(near, c, -c)
+
+
+def theta_major(alpha: float, t):
     """Monotone angle map sin(t) / ((1+alpha) sin((pi-t)/(1+alpha))).
 
     Strictly increasing from 0 to 1 on (0, pi); the exact endpoints return
-    the limit values.  The reciprocal-parameter companion is obtained by
-    passing 1/alpha.
+    the limit values.  t is a float or an array of angles in [0, pi].  The
+    reciprocal-parameter companion is obtained by passing 1/alpha.
     """
     alpha = _check_alpha(alpha)
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    if t == _PI:
-        return 1.0
-    return _theta_major(alpha, _check_angle_open(t))
+    return _like(_with_limits(t, "angle", {0.0: 0.0, _PI: 1.0},
+                              lambda ts: _theta_major(alpha, ts)), alpha, t)
 
 
-def _theta_major(alpha: float, t: float) -> float:
-    # theta_major for an already checked alpha > 0 and t in (0, pi)
+def _theta_major(alpha: float, t: np.ndarray) -> np.ndarray:
+    # theta_major for an already checked alpha > 0 and angles in (0, pi)
     v = _PI - t
-    return _sin_angle(t, v) / ((1.0 + alpha) * math.sin(v / (1.0 + alpha)))
+    return _sine(t, v) / ((1.0 + alpha) * np.sin(v / (1.0 + alpha)))
 
 
-def _theta_major_np(alpha: float, t: np.ndarray) -> np.ndarray:
-    # _theta_major for an array of checked angles
-    v = _PI - t
-    sin_t = np.where(t <= 0.5 * _PI, np.sin(t), np.sin(v))
-    return sin_t / ((1.0 + alpha) * np.sin(v / (1.0 + alpha)))
+def theta_major_prime(alpha: float, t):
+    """Analytic derivative of theta_major in t, a float or an array of
+    angles in (0, pi)."""
+    alpha = _check_alpha(alpha)
+    return _like(_theta_major_prime(alpha, _check_angles_open(t)), alpha, t)
 
 
-def theta_major_prime(alpha: float, t: float) -> float:
-    """Analytic derivative of theta_major in t."""
-    return _theta_major_prime(_check_alpha(alpha), _check_angle_open(t))
-
-
-def _theta_major_prime(alpha: float, t: float) -> float:
-    # theta_major_prime for an already checked alpha > 0 and t in (0, pi)
-    v = _PI - t
-    y = v / (1.0 + alpha)
-    sy = math.sin(y)
-    u = (1.0 + alpha) * _cos_angle(t, v) * sy + _sin_angle(t, v) * math.cos(y)
-    return u / ((1.0 + alpha) ** 2 * sy * sy)
-
-
-def _theta_major_prime_np(alpha: float, t: np.ndarray) -> np.ndarray:
-    # _theta_major_prime for an array of checked angles
+def _theta_major_prime(alpha: float, t: np.ndarray) -> np.ndarray:
+    # theta_major_prime for an already checked alpha > 0 and angles in (0, pi)
     v = _PI - t
     y = v / (1.0 + alpha)
     sy = np.sin(y)
-    near = t <= 0.5 * _PI
-    sin_t = np.where(near, np.sin(t), np.sin(v))
-    cos_t = np.where(near, np.cos(t), -np.cos(v))
-    u = (1.0 + alpha) * cos_t * sy + sin_t * np.cos(y)
+    u = (1.0 + alpha) * _cosine(t, v) * sy + _sine(t, v) * np.cos(y)
     return u / ((1.0 + alpha) ** 2 * sy * sy)
 
 
@@ -162,17 +164,17 @@ def sine_ratio(alpha: float, theta: float) -> float:
     return math.sin(y) / math.sin(alpha * y)
 
 
-def x_of_theta(p: Params, theta: float) -> float:
-    """Evaluation point x(theta), strictly decreasing from 1 to -1."""
-    theta = float(theta)
-    if theta == 0.0:
-        return 1.0
-    if theta == _PI:
-        return -1.0
-    _check_angle_open(theta, "theta")
-    big = theta_major(1.0 / p.alpha, theta)
-    small = theta_major(p.alpha, theta)
-    return 1.0 - 2.0 * big * small ** (1.0 / p.alpha)
+def x_of_theta(p: Params, theta):
+    """Evaluation point x(theta), strictly decreasing from 1 to -1.
+
+    theta is a float or an array of angles in [0, pi].
+    """
+    alpha = p.alpha
+
+    def x(ts):
+        return (1.0 - 2.0 * _theta_major(1.0 / alpha, ts)
+                * _theta_major(alpha, ts) ** (1.0 / alpha))
+    return _like(_with_limits(theta, "theta", {0.0: 1.0, _PI: -1.0}, x), theta)
 
 
 def theta_of_x(p: Params, x: float, tol: float = 1e-12) -> float:
@@ -183,28 +185,41 @@ def theta_of_x(p: Params, x: float, tol: float = 1e-12) -> float:
     return find_root_bisect(lambda t: x_of_theta(p, t) - x, 0.0, _PI, tol)
 
 
-def t_of_theta(p: Params, theta: float) -> float:
-    """Pole location t(theta) of the contour integrand denominator."""
-    theta = float(theta)
-    if theta == 0.0:
-        return 1.0
-    if theta == _PI:
-        return -1.0
-    _check_angle_open(theta, "theta")
-    return 1.0 - 2.0 * _s_value(p.alpha, theta)
+def t_of_theta(p: Params, theta):
+    """Pole location t(theta) of the contour integrand denominator.
+
+    theta is a float or an array of angles in [0, pi].
+    """
+    return _like(_with_limits(theta, "theta", {0.0: 1.0, _PI: -1.0},
+                              lambda ts: 1.0 - 2.0 * _s_value(p.alpha, ts)),
+                 theta)
 
 
-def _s_value(alpha: float, t: float) -> float:
+def _s_value(alpha: float, t: np.ndarray) -> np.ndarray:
     # s(t) = theta_major(1/alpha, t)^alpha * theta_major(alpha, t), t checked
     return _theta_major(1.0 / alpha, t) ** alpha * _theta_major(alpha, t)
 
 
-def _s_value_np(alpha: float, t: np.ndarray) -> np.ndarray:
-    # _s_value for an array of checked angles
-    return _theta_major_np(1.0 / alpha, t) ** alpha * _theta_major_np(alpha, t)
+_AtTheta = namedtuple("_AtTheta", "big small s y z upper xi_prime")
 
 
-def _frame(alpha: float, phi: float):
+@lru_cache(maxsize=256)
+def _at_theta(alpha: float, theta: float) -> _AtTheta:
+    """The frame, theta_major(alpha, .), s and xi' at phi = theta as Python
+    scalars, for a checked alpha and theta: the theta-only factors of the
+    contour integrand and the saddle data, built once since every
+    refinement level of a contour call reads them.  s is the product of two
+    floats in scalar arithmetic; f_prime instead forms s(theta) by the array
+    operations of s(phi), so that its saddle residual cancels exactly."""
+    th = np.array([theta])
+    big, y, z, _, upper = _frame(alpha, th)
+    xi_prime = _xi_prime(alpha, th, big, z).item()
+    big, small = big.item(), _theta_major(alpha, th).item()
+    return _AtTheta(big, small, big ** alpha * small, y.item(), z.item(),
+                    upper.item(), xi_prime)
+
+
+def _frame(alpha: float, phi: np.ndarray):
     """Upper-branch quantities at phi that every contour function reads.
 
     Returns (big, y, z, cos y, upper) with big = theta_major(1/alpha, phi),
@@ -213,62 +228,62 @@ def _frame(alpha: float, phi: float):
     """
     big = _theta_major(1.0 / alpha, phi)
     y = (_PI - phi) / (1.0 + alpha)
-    cy = math.cos(y)
-    return big, y, alpha * y, cy, complex(cy - big, math.sin(y))
-
-
-def _frame_np(alpha: float, phi: np.ndarray):
-    # _frame for an array of checked angles, same operations and order
-    big = _theta_major_np(1.0 / alpha, phi)
-    y = (_PI - phi) / (1.0 + alpha)
     cy = np.cos(y)
     return big, y, alpha * y, cy, (cy - big) + 1j * np.sin(y)
 
 
-def _xi_prime(alpha: float, phi: float, big: float, z: float) -> complex:
+def _l_value(upper: np.ndarray) -> np.ndarray:
+    # l = |e^{iy} - big|^2 as (cos y - big)^2 + sin^2 y: expanded as
+    # 1 + big^2 - 2 big cos y it cancels as phi -> pi, where big -> 1, y -> 0
+    return upper.real * upper.real + upper.imag * upper.imag
+
+
+def _xi_prime(alpha: float, phi: np.ndarray, big: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
     prime = _theta_major_prime(1.0 / alpha, phi)
-    return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
-            * cmath.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
-
-
-def _xi_prime_np(alpha: float, phi: np.ndarray, big: np.ndarray,
-                 z: np.ndarray) -> np.ndarray:
-    prime = _theta_major_prime_np(1.0 / alpha, phi)
     return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
             * np.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
 
 
 @dataclass(frozen=True)
 class ContourPoint:
-    """One sample of the integration contour: parameter, point, derivative."""
+    """Samples of the integration contour: parameter, point, derivative.
+
+    Floats for one phi; arrays shaped like phi for an array of them."""
 
     phi: float
     xi: complex
     xi_prime: Optional[complex]
 
 
-def contour_point(p: Params, phi: float) -> ContourPoint:
+def contour_point(p: Params, phi) -> ContourPoint:
     """Contour sample; the lower branch mirrors the upper by conjugation.
 
-    At phi in {0, -pi} the contour passes through +1 / -1 and the derivative
-    is undefined (returned as None).  For phi < 0 the reported xi_prime is
-    the actual parameter derivative of the conjugate branch.
+    phi is a float or an array of angles in [-pi, pi].  At phi in {0, -pi}
+    the contour passes through +1 / -1 and the derivative is undefined:
+    None for a float phi, NaN in an array.  For phi < 0 the reported
+    xi_prime is the actual parameter derivative of the conjugate branch.
     """
-    phi = float(phi)
-    if not (-_PI <= phi <= _PI):
-        raise InputError(f"phi must lie in [-pi, pi], got {phi!r}")
-    if phi == 0.0:
-        return ContourPoint(phi, 1.0 + 0.0j, None)
-    if abs(phi) == _PI:  # +pi names the same contour point as -pi
-        return ContourPoint(phi, -1.0 + 0.0j, None)
-    if phi < 0.0:
-        up = contour_point(p, -phi)
-        prime = None if up.xi_prime is None else -up.xi_prime.conjugate()
-        return ContourPoint(phi, up.xi.conjugate(), prime)
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    inside = (phis >= -_PI) & (phis <= _PI)
+    if not inside.all():
+        bad = float(phis[~inside][0])
+        raise InputError(f"phi must lie in [-pi, pi], got {bad!r}")
     alpha = p.alpha
-    big, _, z, _, _ = _frame(alpha, phi)
-    xi = 1.0 - 2.0 * big ** alpha * cmath.exp(-1j * z)
-    return ContourPoint(phi, xi, _xi_prime(alpha, phi, big, z))
+    size = np.abs(phis)
+    inner = (size > 0.0) & (size < _PI)  # +pi names the same point as -pi
+    t = np.where(inner, size, 0.5 * _PI)
+    big, _, z, _, _ = _frame(alpha, t)
+    xi = np.where(inner, 1.0 - 2.0 * big ** alpha * np.exp(-1j * z),
+                  np.where(size == 0.0, 1.0, -1.0))
+    prime = np.where(inner, _xi_prime(alpha, t, big, z), np.nan)
+    lower = inner & (phis < 0.0)
+    xi = np.where(lower, xi.conj(), xi)
+    prime = np.where(lower, -prime.conj(), prime)
+    if np.ndim(phi):
+        return ContourPoint(phis, xi, prime)
+    return ContourPoint(phis.item(0), xi.item(0),
+                        prime.item(0) if inner[0] else None)
 
 
 def f_phase(p: Params, theta: float, phi):
@@ -287,15 +302,15 @@ def f_phase(p: Params, theta: float, phi):
     """
     theta = _check_angle_open(theta, "theta")
     phis = _check_angles_open(phi, "phi")
-    alpha = _check_alpha(p.alpha)
-    big, _, z, _, upper = _frame_np(alpha, phis)
-    den = big ** alpha * np.exp(-1j * z) - _s_value(alpha, theta)  # Im < 0
+    alpha = p.alpha
+    big, _, z, _, upper = _frame(alpha, phis)
+    den = big ** alpha * np.exp(-1j * z) - _at_theta(alpha, theta).s  # Im < 0
     if (den == 0).any():
         raise ValueError("f_phase: integrand pole hit (xi(phi) == t(theta))")
     re = alpha * np.log(big) + np.log(np.abs(upper)) - np.log(np.abs(den))
     # (pi + phi) + args - 2 pi, with phi - pi = -(pi - phi) taken exactly
     im = -(_PI - phis) + np.angle(upper) - np.angle(den)
-    return _like(phi, re + 1j * im)
+    return _like(re + 1j * im, phi)
 
 
 def g_amplitude(p: Params, theta: float, phi):
@@ -306,18 +321,19 @@ def g_amplitude(p: Params, theta: float, phi):
     theta = _check_angle_open(theta, "theta")
     phis = _check_angles_open(phi, "phi")
     alpha, a, b = p.alpha, p.a, p.b
-    big, y, z, _, upper = _frame_np(alpha, phis)
-    big_t = _theta_major(1.0 / alpha, theta)
-    small_t = _theta_major(alpha, theta)
-    den = big ** alpha * np.exp(-1j * z) - big_t ** alpha * small_t
+    big, y, z, _, upper = _frame(alpha, phis)
+    at = _at_theta(alpha, theta)
+    big_t, small_t = at.big, at.small
+    den = big ** alpha * np.exp(-1j * z) - at.s
     if (den == 0).any():
         raise ValueError("g_amplitude: integrand pole hit")
     ratio = (big / big_t) ** (a + 1.0 - alpha)
     phase = np.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
     upper_b = np.exp(b * np.log(upper))  # principal power; Im upper > 0
     base_b = (1.0 - big_t * small_t ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
-    return _like(phi, ratio * phase * upper_b * _xi_prime_np(alpha, phis, big, z)
-                 / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den))
+    return _like(ratio * phase * upper_b * _xi_prime(alpha, phis, big, z)
+                 / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den),
+                 phi)
 
 
 def t_modulus(p: Params, theta: float, phi):
@@ -328,13 +344,14 @@ def t_modulus(p: Params, theta: float, phi):
     """
     theta = _check_angle_open(theta, "theta")
     phis = _check_angles_open(phi, "phi")
-    alpha = _check_alpha(p.alpha)
-    big, _, z, cy, _ = _frame_np(alpha, phis)
-    s_theta = _s_value(alpha, theta)
-    k = big ** (2.0 * alpha)
-    l = 1.0 + big * big - 2.0 * big * cy
-    den = k - 2.0 * s_theta * big ** alpha * np.cos(z) + s_theta * s_theta
-    return _like(phi, k * l / den)
+    alpha = p.alpha
+    big, _, z, _, upper = _frame(alpha, phis)
+    head = big ** alpha
+    # den = |head e^{-iz} - s(theta)|^2 from its real and imaginary parts:
+    # expanded, it cancels as phi -> pi when theta is near pi
+    gap = head * np.cos(z) - _at_theta(alpha, theta).s
+    den = gap * gap + (head * np.sin(z)) ** 2
+    return _like(big ** (2.0 * alpha) * _l_value(upper) / den, phi)
 
 
 def f_prime(p: Params, theta: float, phi):
@@ -349,10 +366,10 @@ def f_prime(p: Params, theta: float, phi):
     """
     theta = _check_angle_open(theta, "theta")
     phis = _check_angles_open(phi, "phi")
-    alpha = _check_alpha(p.alpha)
-    big, y, z, _, _ = _frame_np(alpha, phis)
-    s_theta = _s_value_np(alpha, np.array([theta]))
-    small = _theta_major_np(alpha, phis)
+    alpha = p.alpha
+    big, y, z, _, _ = _frame(alpha, phis)
+    s_theta = _s_value(alpha, np.array([theta]))
+    small = _theta_major(alpha, phis)
     s_phi = big ** alpha * small
     upp = -2.0 * (big / small) * (s_phi - s_theta) * np.exp(-1j * (_PI - phis))
     head = big ** alpha * np.exp(-1j * z)  # (1 - xi) / 2
@@ -360,7 +377,7 @@ def f_prime(p: Params, theta: float, phi):
            * (-2.0 * (head - s_theta)))
     if (low == 0).any():
         raise ValueError("f_prime: denominator vanished")
-    return _like(phi, upp / low * _xi_prime_np(alpha, phis, big, z))
+    return _like(upp / low * _xi_prime(alpha, phis, big, z), phi)
 
 
 @dataclass(frozen=True)
@@ -380,48 +397,47 @@ def f_at_saddle(p: Params, theta: float) -> complex:
 
 
 def _saddle_factors(p: Params, theta: float):
-    """The frame at phi = theta plus the factors shared by g and M there:
-    lower = e^{iz} - theta_major(alpha, theta) and the three real
+    """The quantities at phi = theta plus the factors shared by g and M
+    there: lower = e^{iz} - theta_major(alpha, theta) and the three real
     denominator factors Theta_alpha^((a+1)/alpha-1), ((1+x)/2)^b, |lower|^2."""
     alpha, a, b = p.alpha, p.a, p.b
-    big, y, z, _, upper = _frame(alpha, theta)
-    small = _theta_major(alpha, theta)
-    cz = math.cos(z)
-    lower = complex(cz - small, math.sin(z))
+    at = _at_theta(alpha, theta)
+    big, small = at.big, at.small
+    cz = math.cos(at.z)
+    lower = complex(cz - small, math.sin(at.z))
     dens = (small ** ((a + 1.0) / alpha - 1.0),
             (1.0 - big * small ** (1.0 / alpha)) ** b,
             1.0 + small * small - 2.0 * small * cz)
-    return big, y, z, upper, lower, dens
+    return at, lower, dens
 
 
 def g_at_saddle(p: Params, theta: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     alpha, a, b = p.alpha, p.a, p.b
-    big, y, z, upper, lower, (d1, d2, d3) = _saddle_factors(p, theta)
-    num = (cmath.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
-           * complex_pow_principal(upper, b) * lower
-           * _xi_prime(alpha, theta, big, z))
-    return num / (2.0 * big ** alpha * d1 * d2 * d3)
+    at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
+    num = (cmath.exp(-1j * (_PI + at.y * (a + b + 1.0 - alpha)))
+           * complex_pow_principal(at.upper, b) * lower * at.xi_prime)
+    return num / (2.0 * at.big ** alpha * d1 * d2 * d3)
 
 
 def f_second_at_saddle(p: Params, theta: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     alpha = p.alpha
-    big, y, z, _, upper = _frame(alpha, theta)
-    xi_prime = _xi_prime(alpha, theta, big, z)
+    at = _at_theta(alpha, theta)
     return ((1.0 + alpha) / (4.0 * alpha * alpha)
-            * cmath.exp(-1j * (_PI - 2.0 * alpha * y))
-            * big ** (1.0 - 2.0 * alpha) * xi_prime * xi_prime / upper)
+            * cmath.exp(-1j * (_PI - 2.0 * alpha * at.y))
+            * at.big ** (1.0 - 2.0 * alpha) * at.xi_prime * at.xi_prime
+            / at.upper)
 
 
 def m_alpha(p: Params, theta: float) -> complex:
     """n-free amplitude of the Darboux-type leading term."""
     theta = _check_angle_open(theta, "theta")
     a, b = p.a, p.b
-    big, y, _, upper, lower, (d1, d2, d3) = _saddle_factors(p, theta)
-    num = (cmath.exp(-1j * (_PI / 2.0 + y * (a + b + 1.0)))
-           * complex_pow_principal(upper, b + 0.5) * lower)
-    return num / (math.sqrt(big) * d1 * d2 * d3)
+    at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
+    num = (cmath.exp(-1j * (_PI / 2.0 + at.y * (a + b + 1.0)))
+           * complex_pow_principal(at.upper, b + 0.5) * lower)
+    return num / (math.sqrt(at.big) * d1 * d2 * d3)
 
 
 def sqrt_f_second(f_second: complex) -> complex:
@@ -452,30 +468,22 @@ def saddle_data(p: Params, theta: float) -> SaddleData:
 # structure functions of the monotonicity analysis
 # ---------------------------------------------------------------------------
 
-def d_of_phi(alpha: float, phi: float) -> float:
+def d_of_phi(alpha: float, phi):
     """(1+alpha) cot(phi) + alpha cot((pi-phi)/(1+1/alpha)).
 
-    Strictly decreasing from +inf to 0 on (0, pi); phi = 0 returns +inf.
+    Strictly decreasing from +inf to 0 on (0, pi); phi is a float or an
+    array of angles in [0, pi), and phi = 0 returns +inf.
     """
     alpha = _check_alpha(alpha)
-    phi = float(phi)
-    if phi == 0.0:
-        return math.inf
-    _check_angle_open(phi, "phi")
-    v = _PI - phi
-    z = alpha * v / (1.0 + alpha)
-    cot_phi = _cos_angle(phi, v) / _sin_angle(phi, v)
-    return (1.0 + alpha) * cot_phi + alpha / math.tan(z)
+    return _like(_with_limits(phi, "phi", {0.0: math.inf},
+                              lambda ts: _d_of_phi(alpha, ts)), alpha, phi)
 
 
-def _d_of_phi_np(alpha: float, phi: np.ndarray) -> np.ndarray:
-    # d_of_phi for an array of checked angles, same operations and order
+def _d_of_phi(alpha: float, phi: np.ndarray) -> np.ndarray:
+    # d_of_phi for an already checked alpha > 0 and angles in (0, pi)
     v = _PI - phi
     z = alpha * v / (1.0 + alpha)
-    near = phi <= 0.5 * _PI
-    cot_phi = (np.where(near, np.cos(phi), -np.cos(v))
-               / np.where(near, np.sin(phi), np.sin(v)))
-    return (1.0 + alpha) * cot_phi + alpha / np.tan(z)
+    return (1.0 + alpha) * (_cosine(phi, v) / _sine(phi, v)) + alpha / np.tan(z)
 
 
 def phi_star(alpha: float, tol: float = 1e-12) -> float:
@@ -486,15 +494,15 @@ def phi_star(alpha: float, tol: float = 1e-12) -> float:
     pi produces sign noise, while d < 1 already holds far earlier.
     """
     alpha = _check_alpha(alpha)
-    return find_root_bisect(lambda t: d_of_phi(alpha, t) - 1.0,
-                            1e-9, _PI - 1e-4, tol)
+    return find_root_bisect(lambda t: _d_of_phi(alpha, np.array([t])).item()
+                            - 1.0, 1e-9, _PI - 1e-4, tol)
 
 
 @dataclass(frozen=True)
 class StructureBundle:
-    """Values of the scalar structure functions at one angle.
-
-    h is None exactly where its defining quotient degenerates (d = 1)."""
+    """Values of the structure functions at one angle (floats; h is None
+    exactly where its defining quotient degenerates, d = 1) or at an array
+    of angles (arrays shaped like it; h is NaN there)."""
 
     k: float
     l: float
@@ -509,59 +517,25 @@ class StructureBundle:
     lambda_low: float
 
 
-def structure_functions(alpha: float, phi: float) -> StructureBundle:
+def structure_functions(alpha: float, phi) -> StructureBundle:
+    """The structure functions at phi, a float or an array of angles in
+    (0, pi); the claim scan passes its whole grid at once."""
     alpha = _check_alpha(alpha)
-    phi = _check_angle_open(phi, "phi")
-    big, y, z, cy, upper = _frame(alpha, phi)
+    phis = _check_angles_open(phi, "phi")
+    big, y, z, cy, upper = _frame(alpha, phis)
     sy = upper.imag
-    big_prime = _theta_major_prime(1.0 / alpha, phi)
-    small = _theta_major(alpha, phi)
-    cz, sz = math.cos(z), math.sin(z)
-    sin_phi = _sin_angle(phi, _PI - phi)
-    one_p_a = 1.0 + alpha
-
-    k = big ** (2.0 * alpha)
-    l = 1.0 + big * big - 2.0 * big * cy
-    r = -2.0 * big ** alpha * cz
-    s = big ** alpha * small
-
-    d = d_of_phi(alpha, phi)
-    dd2 = d * d - 1.0
-    u = 2.0 * sy / one_p_a * big ** (2.0 * alpha + 1.0) * dd2
-    w = (2.0 * sin_phi / (one_p_a * one_p_a)
-         * big ** (4.0 * alpha + 1.0) * (dd2 * cz - 2.0 * d * sz))
-
-    r_prime = -2.0 * (alpha * big ** (alpha - 1.0) * big_prime * cz
-                      + big ** alpha * alpha * sz / one_p_a)
-    v = u * r - k * l * r_prime
-
-    h = None if dd2 == 0.0 else big ** alpha * (cz - 2.0 * d / dd2 * sz)
-    delta_cap = dd2 * big * (cy - big) + 2.0 * (1.0 - big * big)
-    lambda_low = cy * sz - alpha * sy * cz
-    return StructureBundle(k=k, l=l, r=r, s=s, u=u, v=v, w=w, d=d, h=h,
-                           delta_cap=delta_cap, lambda_low=lambda_low)
-
-
-def structure_functions_grid(alpha: float, phi) -> StructureBundle:
-    """structure_functions on an array of angles in (0, pi), by the same
-    operations in the same order; every field is an array shaped like phi,
-    and h is NaN where its quotient degenerates (d = 1)."""
-    alpha = _check_alpha(alpha)
-    phi = _check_angles_open(phi, "phi")
-    big, y, z, cy, upper = _frame_np(alpha, phi)
-    sy = upper.imag
-    big_prime = _theta_major_prime_np(1.0 / alpha, phi)
-    small = _theta_major_np(alpha, phi)
+    big_prime = _theta_major_prime(1.0 / alpha, phis)
+    small = _theta_major(alpha, phis)
     cz, sz = np.cos(z), np.sin(z)
-    sin_phi = np.where(phi <= 0.5 * _PI, np.sin(phi), np.sin(_PI - phi))
+    sin_phi = _sine(phis, _PI - phis)
     one_p_a = 1.0 + alpha
 
     k = big ** (2.0 * alpha)
-    l = 1.0 + big * big - 2.0 * big * cy
+    l = _l_value(upper)
     r = -2.0 * big ** alpha * cz
     s = big ** alpha * small
 
-    d = _d_of_phi_np(alpha, phi)
+    d = _d_of_phi(alpha, phis)
     dd2 = d * d - 1.0
     u = 2.0 * sy / one_p_a * big ** (2.0 * alpha + 1.0) * dd2
     w = (2.0 * sin_phi / (one_p_a * one_p_a)
@@ -575,12 +549,15 @@ def structure_functions_grid(alpha: float, phi) -> StructureBundle:
         h = np.where(dd2 == 0.0, np.nan, big ** alpha * (cz - 2.0 * d / dd2 * sz))
     delta_cap = dd2 * big * (cy - big) + 2.0 * (1.0 - big * big)
     lambda_low = cy * sz - alpha * sy * cz
-    return StructureBundle(k=k, l=l, r=r, s=s, u=u, v=v, w=w, d=d, h=h,
-                           delta_cap=delta_cap, lambda_low=lambda_low)
+    fields = {name: _like(value, alpha, phi) for name, value in (
+        ("k", k), ("l", l), ("r", r), ("s", s), ("u", u), ("v", v), ("w", w),
+        ("d", d), ("h", h), ("delta_cap", delta_cap), ("lambda_low", lambda_low))}
+    if isinstance(fields["h"], float) and math.isnan(fields["h"]):
+        fields["h"] = None
+    return StructureBundle(**fields)
 
 
-def lambda_of_phi(alpha: float, phi: float) -> float:
-    alpha = _check_alpha(alpha)
-    phi = _check_angle_open(phi, "phi")
-    _, _, z, cy, upper = _frame(alpha, phi)
-    return cy * math.sin(z) - alpha * upper.imag * math.cos(z)
+def lambda_of_phi(alpha: float, phi):
+    """The structure function lambda at phi, a float or an array of angles
+    in (0, pi)."""
+    return structure_functions(alpha, phi).lambda_low

@@ -6,9 +6,10 @@ tolerance it was judged against, and a pass/fail/skipped status.  Checks are
 pure given their arguments (random sampling is seeded), so a fixed seed and
 configuration reproduce identical records byte for byte.
 
-The lemma scans evaluate each whole angle grid with one call of the array
-forms in phase, and the biorthogonality check integrates all n+1 moments
-on shared tanh-sinh nodes (quadrature.integrate_moments).
+The phase functions take arrays, so each identity evaluates all of its
+seeded samples, and each lemma and claim scan its whole angle grid, in one
+call; the biorthogonality check integrates all n+1 moments on shared
+tanh-sinh nodes (quadrature.integrate_moments).
 """
 
 from __future__ import annotations
@@ -105,123 +106,129 @@ def biorthogonality_check(p: Params, n: int, tol: float = 1e-7,
 # appendix identities
 # ---------------------------------------------------------------------------
 
-def _residual(lhs, rhs) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _residual(lhs, rhs):
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def _identity_definitions():
-    """(check_id, tolerance, evaluator(rng) -> (residual, point)) triples."""
+    """(check_id, tolerance, names, draw, residuals) for each identity.
 
-    def sample_angles(rng):
+    draw(rng) returns one sample point, a tuple of numbers with the names
+    given; residuals takes each coordinate as an array over all the samples
+    and returns their residuals as one array.
+    """
+
+    def draw_angles(rng):
         return rng.uniform(0.25, 4.0), rng.uniform(0.05, _PI - 0.05)
 
-    def ratio_to_sine_quotient(rng):
-        alpha, th = sample_angles(rng)
-        y = (_PI - th) / (1.0 + alpha)
+    def ratio_to_sine_quotient(alpha, theta):
+        y = (_PI - theta) / (1.0 + alpha)
         z = alpha * y
-        big = phase.theta_major(1.0 / alpha, th)
-        small = phase.theta_major(alpha, th)
-        lhs = (complex(math.cos(y) - big, math.sin(y))
-               / complex(math.cos(z) - small, -math.sin(z)))
-        rhs = -math.sin(y) / math.sin(z)
-        return abs(lhs - rhs) / max(1.0, abs(rhs)), {"alpha": alpha, "theta": th}
+        big = phase.theta_major(1.0 / alpha, theta)
+        small = phase.theta_major(alpha, theta)
+        lhs = (((np.cos(y) - big) + 1j * np.sin(y))
+               / ((np.cos(z) - small) - 1j * np.sin(z)))
+        rhs = -np.sin(y) / np.sin(z)
+        return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
 
-    def quadratic_in_theta(rng):
-        alpha, ph = sample_angles(rng)
-        y = (_PI - ph) / (1.0 + alpha)
-        big = phase.theta_major(1.0 / alpha, ph)
-        prime = phase.theta_major_prime(1.0 / alpha, ph)
+    def quadratic_in_theta(alpha, phi):
+        y = (_PI - phi) / (1.0 + alpha)
+        big = phase.theta_major(1.0 / alpha, phi)
+        prime = phase.theta_major_prime(1.0 / alpha, phi)
         lhs = ((1.0 + alpha) * big * big
-               - (1.0 + 2.0 * alpha) * big * math.cos(y) + alpha)
-        rhs = (1.0 + alpha) * prime * math.sin(y)
-        return _residual(lhs, rhs), {"alpha": alpha, "phi": ph}
+               - (1.0 + 2.0 * alpha) * big * np.cos(y) + alpha)
+        rhs = (1.0 + alpha) * prime * np.sin(y)
+        return _residual(lhs, rhs)
 
-    def cos_gap_to_d(rng):
-        alpha, ph = sample_angles(rng)
-        y = (_PI - ph) / (1.0 + alpha)
+    def cos_gap_to_d(alpha, phi):
+        y = (_PI - phi) / (1.0 + alpha)
         z = alpha * y
-        big = phase.theta_major(1.0 / alpha, ph)
-        d = phase.d_of_phi(alpha, ph)
-        lhs = (1.0 + alpha) / math.sin(ph) * (big - math.cos(y))
-        rhs = d * math.cos(z) - math.sin(z)
-        return _residual(lhs, rhs), {"alpha": alpha, "phi": ph}
+        big = phase.theta_major(1.0 / alpha, phi)
+        d = phase.d_of_phi(alpha, phi)
+        lhs = (1.0 + alpha) / np.sin(phi) * (big - np.cos(y))
+        rhs = d * np.cos(z) - np.sin(z)
+        return _residual(lhs, rhs)
 
-    def sine_quotient_to_d(rng):
-        alpha, ph = sample_angles(rng)
-        y = (_PI - ph) / (1.0 + alpha)
+    def sine_quotient_to_d(alpha, phi):
+        y = (_PI - phi) / (1.0 + alpha)
         z = alpha * y
-        d = phase.d_of_phi(alpha, ph)
-        lhs = (1.0 + alpha) * math.sin(y) / math.sin(ph)
-        rhs = d * math.sin(z) + math.cos(z)
-        return _residual(lhs, rhs), {"alpha": alpha, "phi": ph}
+        d = phase.d_of_phi(alpha, phi)
+        lhs = (1.0 + alpha) * np.sin(y) / np.sin(phi)
+        rhs = d * np.sin(z) + np.cos(z)
+        return _residual(lhs, rhs)
 
-    def theta_prime_to_d(rng):
-        alpha, ph = sample_angles(rng)
-        lhs = phase.theta_major_prime(1.0 / alpha, ph)
-        rhs = (phase.d_of_phi(alpha, ph) * phase.theta_major(1.0 / alpha, ph)
+    def theta_prime_to_d(alpha, phi):
+        lhs = phase.theta_major_prime(1.0 / alpha, phi)
+        rhs = (phase.d_of_phi(alpha, phi) * phase.theta_major(1.0 / alpha, phi)
                / (1.0 + alpha))
-        return _residual(lhs, rhs), {"alpha": alpha, "phi": ph}
+        return _residual(lhs, rhs)
 
-    def d_prime_two_forms(rng):
-        alpha, ph = sample_angles(rng)
-        z = alpha * (_PI - ph) / (1.0 + alpha)
-        big = phase.theta_major(1.0 / alpha, ph)
-        lhs = (-(1.0 + alpha) / math.sin(ph) ** 2
-               + alpha * alpha / (1.0 + alpha) / math.sin(z) ** 2)
-        rhs = -(1.0 + alpha) / math.sin(ph) ** 2 * (1.0 - big * big)
-        return _residual(lhs, rhs), {"alpha": alpha, "phi": ph}
+    def d_prime_two_forms(alpha, phi):
+        z = alpha * (_PI - phi) / (1.0 + alpha)
+        big = phase.theta_major(1.0 / alpha, phi)
+        lhs = (-(1.0 + alpha) / np.sin(phi) ** 2
+               + alpha * alpha / (1.0 + alpha) / np.sin(z) ** 2)
+        rhs = -(1.0 + alpha) / np.sin(phi) ** 2 * (1.0 - big * big)
+        return _residual(lhs, rhs)
 
-    def lambda_prime_fd(rng):
-        alpha, ph = sample_angles(rng)
+    def draw_lambda_angles(rng):
+        alpha, ph = draw_angles(rng)
         # keep the Richardson stencil inside (0, pi)
-        ph = min(max(ph, 0.1), _PI - 0.1)
-        y = (_PI - ph) / (1.0 + alpha)
+        return alpha, min(max(ph, 0.1), _PI - 0.1)
+
+    def lambda_prime_fd(alpha, phi):
+        y = (_PI - phi) / (1.0 + alpha)
         z = alpha * y
-        lhs = fd_derivative(lambda t: phase.lambda_of_phi(alpha, t), ph, 1).real
-        rhs = (1.0 - alpha) * math.sin(y) * math.sin(z)
-        return _residual(lhs, rhs), {"alpha": alpha, "phi": ph}
+        lhs = fd_derivative(lambda t: phase.lambda_of_phi(alpha, t), phi, 1).real
+        rhs = (1.0 - alpha) * np.sin(y) * np.sin(z)
+        return _residual(lhs, rhs)
 
-    def chu_vandermonde(rng):
+    def draw_chu_vandermonde(rng):
         n = rng.randrange(0, 21)
-        r = rng.randrange(0, n + 1)
-        a = rng.uniform(-0.95, 3.5)
-        lhs, rhs = chu_vandermonde_sides(n, r, a)
-        return _residual(lhs, rhs), {"n": n, "r": r, "a": a}
+        return n, rng.randrange(0, n + 1), rng.uniform(-0.95, 3.5)
 
+    def chu_vandermonde(n, r, a):
+        return _residual(*chu_vandermonde_sides(int(n), int(r), float(a)))
+
+    at_phi = (("alpha", "phi"), draw_angles)
     return [
-        ("identity_chu_vandermonde", 1e-10, chu_vandermonde),
-        ("identity_saddle_ratio", 1e-10, ratio_to_sine_quotient),
-        ("identity_theta_quadratic", 1e-10, quadratic_in_theta),
-        ("identity_cos_gap", 1e-10, cos_gap_to_d),
-        ("identity_sine_quotient", 1e-10, sine_quotient_to_d),
-        ("identity_theta_prime", 1e-11, theta_prime_to_d),
-        ("identity_d_prime", 1e-10, d_prime_two_forms),
-        ("identity_lambda_prime", 1e-7, lambda_prime_fd),
+        ("identity_chu_vandermonde", 1e-10, ("n", "r", "a"),
+         draw_chu_vandermonde, np.vectorize(chu_vandermonde, otypes=[float])),
+        ("identity_saddle_ratio", 1e-10, ("alpha", "theta"), draw_angles,
+         ratio_to_sine_quotient),
+        ("identity_theta_quadratic", 1e-10, *at_phi, quadratic_in_theta),
+        ("identity_cos_gap", 1e-10, *at_phi, cos_gap_to_d),
+        ("identity_sine_quotient", 1e-10, *at_phi, sine_quotient_to_d),
+        ("identity_theta_prime", 1e-11, *at_phi, theta_prime_to_d),
+        ("identity_d_prime", 1e-10, *at_phi, d_prime_two_forms),
+        ("identity_lambda_prime", 1e-7, ("alpha", "phi"), draw_lambda_angles,
+         lambda_prime_fd),
     ]
 
 
 def identity_suite(samples: int = 1000, seed: int = 7) -> List[CheckRecord]:
     """Numeric certification of the trigonometric and Gamma identities.
 
-    Each identity is sampled at `samples` seeded random points; residuals are
-    relative to max(1, |lhs|, |rhs|).  The derivative-of-lambda check runs at
-    a looser tolerance because its left side is a finite difference.
+    Each identity is sampled at `samples` seeded random points, all of which
+    go to its evaluator in one array call; the first point with the largest
+    residual is reported.  Residuals are relative to max(1, |lhs|, |rhs|).
+    The derivative-of-lambda check runs at a looser tolerance because its
+    left side is a finite difference.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     records = []
-    for check_id, tol, evaluator in _identity_definitions():
+    for check_id, tol, names, draw, residuals in _identity_definitions():
         rng = random.Random(seed)
-        worst = -1.0
-        worst_point = None
-        for _ in range(samples):
-            residual, point = evaluator(rng)
-            if residual > worst:
-                worst, worst_point = residual, point
+        points = [draw(rng) for _ in range(samples)]
+        values = residuals(*map(np.array, zip(*points)))
+        i = int(np.argmax(values))
+        worst = float(values[i])
         ok = worst <= tol
         records.append(_record(
             check_id, {"samples": samples, "seed": seed}, ok,
-            {"worst_residual": worst, "worst_point": worst_point}, tol))
+            {"worst_residual": worst,
+             "worst_point": dict(zip(names, points[i]))}, tol))
     return records
 
 
@@ -306,7 +313,7 @@ def claim_check(alpha: float, grid_size: int = 2000,
         raise InputError("claim_check applies to alpha >= 1")
     p0 = phase.phi_star(alpha)
     phis = np.arange(1, grid_size + 1) * _PI / (grid_size + 1)
-    sb = phase.structure_functions_grid(alpha, phis)
+    sb = phase.structure_functions(alpha, phis)
     u, v, w, s, h = sb.u, sb.v, sb.w, sb.s, sb.h
     us2, vs = u * s ** 2, v * s
     scale = np.maximum(np.maximum.reduce([abs(us2), abs(vs), abs(w)]), 1e-300)
@@ -338,15 +345,16 @@ def counterexample_scan(alpha: float) -> CheckRecord:
     and verify lambda < 0 there; failure to find one is a fail record."""
     if not (0.0 < alpha < 1.0):
         raise InputError("counterexample_scan applies to 0 < alpha < 1")
-    ph = 0.19
+    phis = [0.19]
+    while phis[-1] * 0.7 > 1e-6:
+        phis.append(phis[-1] * 0.7)
+    sb = phase.structure_functions(alpha, np.array(phis))
+    found = np.flatnonzero((sb.u > 0.0) & (0.0 < sb.h) & (sb.h < 1.0))
     witness = None
-    while ph > 1e-6:
-        sb = phase.structure_functions(alpha, ph)
-        if sb.u > 0.0 and sb.h is not None and 0.0 < sb.h < 1.0:
-            witness = {"phi": ph, "u": sb.u, "h": sb.h,
-                       "lambda": sb.lambda_low}
-            break
-        ph *= 0.7
+    if found.size:
+        i = found[0]
+        witness = {"phi": phis[i], "u": float(sb.u[i]), "h": float(sb.h[i]),
+                   "lambda": float(sb.lambda_low[i])}
     ok = witness is not None and witness["lambda"] < 0.0
     return _record("claim_counterexample", {"alpha": alpha}, ok,
                    witness or {"reason": "no witness found in (1e-6, 0.2)"},

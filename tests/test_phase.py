@@ -224,38 +224,137 @@ class TestAmplitudeFunction:
         assert phase.g_amplitude(p, theta, phi) == pytest.approx(raw, rel=1e-12)
 
 
-ARRAY_FORMS = [phase.f_phase, phase.g_amplitude, phase.t_modulus,
-               phase.f_prime]
+PHI_FORMS = [phase.f_phase, phase.g_amplitude, phase.t_modulus, phase.f_prime]
+
+# every public function of an angle, as fn(p, theta, angles), with the
+# angles it accepts: "open" for (0, pi), "closed" for [0, pi], "from_zero"
+# for [0, pi) and "contour" for [-pi, pi]
+ARRAY_FORMS = {
+    "theta_major": ("closed", lambda p, th, t: phase.theta_major(p.alpha, t)),
+    "theta_major_prime": ("open",
+                          lambda p, th, t: phase.theta_major_prime(p.alpha, t)),
+    "x_of_theta": ("closed", lambda p, th, t: phase.x_of_theta(p, t)),
+    "t_of_theta": ("closed", lambda p, th, t: phase.t_of_theta(p, t)),
+    "contour_point.xi": ("contour",
+                         lambda p, th, t: phase.contour_point(p, t).xi),
+    "contour_point.xi_prime": (
+        "contour", lambda p, th, t: phase.contour_point(p, t).xi_prime),
+    "f_phase": ("open", phase.f_phase),
+    "g_amplitude": ("open", phase.g_amplitude),
+    "t_modulus": ("open", phase.t_modulus),
+    "f_prime": ("open", phase.f_prime),
+    "d_of_phi": ("from_zero", lambda p, th, t: phase.d_of_phi(p.alpha, t)),
+    "lambda_of_phi": ("open", lambda p, th, t: phase.lambda_of_phi(p.alpha, t)),
+}
+STRUCTURE_FIELDS = ("k", "l", "r", "s", "u", "v", "w", "d", "h", "delta_cap",
+                    "lambda_low")
+
+ENDS = {"open": (), "closed": (0.0, PI), "from_zero": (0.0,),
+        "contour": (0.0, PI, -PI)}
+
+
+def draw_angles(rng, domain, count=40):
+    lo = -PI if domain == "contour" else 0.0
+    angles = [rng.uniform(lo + 1e-12, PI - 1e-12) for _ in range(count)]
+    for i, end in enumerate(ENDS[domain]):
+        angles[7 * i + 3] = end
+    return np.array(angles)
+
+
+def scalar_theta_major(alpha, t):
+    """theta_major in scalar libm arithmetic, for t in (0, pi)."""
+    v = PI - t
+    sin_t = math.sin(t) if t <= PI / 2 else math.sin(v)
+    return sin_t / ((1.0 + alpha) * math.sin(v / (1.0 + alpha)))
+
+
+def scalar_theta_major_prime(alpha, t):
+    v = PI - t
+    y = v / (1.0 + alpha)
+    near = t <= PI / 2
+    sin_t, cos_t = ((math.sin(t), math.cos(t)) if near
+                    else (math.sin(v), -math.cos(v)))
+    u = (1.0 + alpha) * cos_t * math.sin(y) + sin_t * math.cos(y)
+    return u / ((1.0 + alpha) ** 2 * math.sin(y) * math.sin(y))
+
+
+def scalar_s(alpha, t):
+    return scalar_theta_major(1.0 / alpha, t) ** alpha * scalar_theta_major(alpha, t)
+
+
+def scalar_xi_prime(alpha, phi):
+    big = scalar_theta_major(1.0 / alpha, phi)
+    z = alpha * ((PI - phi) / (1.0 + alpha))
+    prime = scalar_theta_major_prime(1.0 / alpha, phi)
+    return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
+            * cmath.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
 
 
 def scalar_t_modulus(p, theta, phi):
     """t_modulus in scalar libm arithmetic, with the condition number of
-    its denominator, a cancelling sum near the saddle."""
+    the difference in its denominator, which cancels near the saddle."""
     alpha = p.alpha
-    big, _, z, cy, _ = phase._frame(alpha, phi)
-    s_theta = phase._s_value(alpha, theta)
-    k = big ** (2.0 * alpha)
-    l = 1.0 + big * big - 2.0 * big * cy
-    middle = 2.0 * s_theta * big ** alpha * math.cos(z)
-    den = k - middle + s_theta * s_theta
-    return k * l / den, 1.0 + (k + abs(middle) + s_theta * s_theta) / abs(den)
+    big = scalar_theta_major(1.0 / alpha, phi)
+    y = (PI - phi) / (1.0 + alpha)
+    s_theta = scalar_s(alpha, theta)
+    l = (math.cos(y) - big) * (math.cos(y) - big) + math.sin(y) * math.sin(y)
+    head = big ** alpha
+    gap = head * math.cos(alpha * y) - s_theta
+    den = gap * gap + (head * math.sin(alpha * y)) ** 2
+    return (big ** (2.0 * alpha) * l / den,
+            1.0 + (abs(head * math.cos(alpha * y)) + s_theta) / abs(gap))
 
 
 def scalar_f_prime(p, theta, phi):
     """f_prime in scalar libm arithmetic, with the condition numbers of its
     two cancelling differences s(phi) - s(theta) and head - s(theta)."""
     alpha = p.alpha
-    big, y, z, _, _ = phase._frame(alpha, phi)
-    s_theta = phase._s_value(alpha, theta)
-    small = phase._theta_major(alpha, phi)
-    s_phi = big ** alpha * small
-    upp = -2.0 * (big / small) * (s_phi - s_theta) * cmath.exp(-1j * (PI - phi))
-    head = big ** alpha * cmath.exp(-1j * z)
+    big = scalar_theta_major(1.0 / alpha, phi)
+    y = (PI - phi) / (1.0 + alpha)
+    s_theta = scalar_s(alpha, theta)
+    s_phi = big ** alpha * scalar_theta_major(alpha, phi)
+    upp = (-2.0 * (big / scalar_theta_major(alpha, phi)) * (s_phi - s_theta)
+           * cmath.exp(-1j * (PI - phi)))
+    head = big ** alpha * cmath.exp(-1j * alpha * y)
     low = (alpha * (2.0 * head) * (1.0 - big * cmath.exp(-1j * y))
            * (-2.0 * (head - s_theta)))
     kappa = (1.0 + (s_phi + s_theta) / abs(s_phi - s_theta)
              + (abs(head) + s_theta) / abs(head - s_theta))
-    return upp / low * phase._xi_prime(alpha, phi, big, z), kappa
+    return upp / low * scalar_xi_prime(alpha, phi), kappa
+
+
+def scalar_structure(alpha, phi):
+    """The structure functions in scalar libm arithmetic, as a dict; h is
+    NaN where d = 1."""
+    v_ = PI - phi
+    big = scalar_theta_major(1.0 / alpha, phi)
+    big_prime = scalar_theta_major_prime(1.0 / alpha, phi)
+    small = scalar_theta_major(alpha, phi)
+    y = v_ / (1.0 + alpha)
+    z = alpha * y
+    cy, sy, cz, sz = math.cos(y), math.sin(y), math.cos(z), math.sin(z)
+    near = phi <= PI / 2
+    sin_phi, cos_phi = ((math.sin(phi), math.cos(phi)) if near
+                        else (math.sin(v_), -math.cos(v_)))
+    one_p_a = 1.0 + alpha
+    d = one_p_a * (cos_phi / sin_phi) + alpha / math.tan(alpha * v_ / one_p_a)
+    dd2 = d * d - 1.0
+    k = big ** (2.0 * alpha)
+    l = (cy - big) * (cy - big) + sy * sy
+    r = -2.0 * big ** alpha * cz
+    u = 2.0 * sy / one_p_a * big ** (2.0 * alpha + 1.0) * dd2
+    r_prime = -2.0 * (alpha * big ** (alpha - 1.0) * big_prime * cz
+                      + big ** alpha * alpha * sz / one_p_a)
+    return {
+        "k": k, "l": l, "r": r, "s": big ** alpha * small, "u": u,
+        "v": u * r - k * l * r_prime,
+        "w": (2.0 * sin_phi / (one_p_a * one_p_a) * big ** (4.0 * alpha + 1.0)
+              * (dd2 * cz - 2.0 * d * sz)),
+        "d": d,
+        "h": math.nan if dd2 == 0.0 else big ** alpha * (cz - 2.0 * d / dd2 * sz),
+        "delta_cap": dd2 * big * (cy - big) + 2.0 * (1.0 - big * big),
+        "lambda_low": cy * sz - alpha * sy * cz,
+    }
 
 
 def random_scan_cases(seed, count=40, points=40):
@@ -267,26 +366,56 @@ def random_scan_cases(seed, count=40, points=40):
                                       for _ in range(points)])
 
 
-class TestArrayForm:
-    """The functions that take phi arrays equal their float calls bitwise,
-    and match the scalar libm forms of the parent code to within 4 ulp times
-    the condition number of the cancelling sums in each formula (numpy's
-    pow, exp, log and tan may round differently from libm by 1 ulp)."""
+def as_floats(values):
+    # None (the float form of an undefined value) as NaN
+    return np.array([math.nan if v is None else v for v in values])
 
-    @pytest.mark.parametrize("fn", ARRAY_FORMS)
-    def test_bitwise_equal_to_float_calls(self, fn):
+
+class TestArrayForm:
+    """Every public function of an angle gives on an array exactly its float
+    calls, and matches scalar libm references to within 4 ulp times the
+    condition number of the cancelling sums in each formula (numpy's pow,
+    exp, log and tan may round differently from libm by 1 ulp)."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_FORMS))
+    def test_bitwise_equal_to_float_calls(self, name):
+        domain, fn = ARRAY_FORMS[name]
         rng = random.Random(11)
         for _ in range(40):
             p = Params(rng.choice([1.0, 2.0, 4.0, rng.uniform(0.3, 5.0)]),
                        rng.uniform(-0.9, 2.0), rng.uniform(-0.9, 2.0))
             theta = rng.uniform(0.05, PI - 0.05)
-            phis = np.array([rng.uniform(1e-12, PI - 1e-12)
-                             for _ in range(40)]).reshape(4, 10)
+            phis = draw_angles(rng, domain).reshape(4, 10)
             batch = fn(p, theta, phis)
             assert batch.shape == phis.shape
             singles = [fn(p, theta, float(v)) for v in phis.flat]
-            assert all(isinstance(v, (float, complex)) for v in singles)
-            assert np.array(singles).tobytes() == batch.tobytes()
+            assert all(v is None or type(v) in (float, complex) for v in singles)
+            assert as_floats(singles).astype(batch.dtype).tobytes() == \
+                batch.flatten().tobytes()
+
+    def test_structure_functions_bitwise_equal_to_float_calls(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            alpha = rng.choice([1.0, 2.0, 4.0, rng.uniform(0.3, 5.0)])
+            phis = draw_angles(rng, "open").reshape(4, 10)
+            batch = phase.structure_functions(alpha, phis)
+            singles = [phase.structure_functions(alpha, float(v))
+                       for v in phis.flat]
+            for name in STRUCTURE_FIELDS:
+                values = [getattr(sb, name) for sb in singles]
+                assert all(v is None or type(v) is float for v in values)
+                assert getattr(batch, name).shape == phis.shape
+                assert as_floats(values).tobytes() == \
+                    getattr(batch, name).flatten().tobytes()
+
+    @pytest.mark.parametrize("fn", [phase.theta_major, phase.theta_major_prime,
+                                    phase.d_of_phi, phase.lambda_of_phi])
+    def test_alpha_array_equal_to_float_calls(self, fn):
+        rng = random.Random(12)
+        alphas = np.array([rng.uniform(0.25, 4.0) for _ in range(50)])
+        angles = np.array([rng.uniform(0.05, PI - 0.05) for _ in range(50)])
+        singles = [fn(float(a), float(t)) for a, t in zip(alphas, angles)]
+        assert np.array(singles).tobytes() == fn(alphas, angles).tobytes()
 
     @pytest.mark.parametrize("form, scalar", [(phase.t_modulus, scalar_t_modulus),
                                               (phase.f_prime, scalar_f_prime)])
@@ -303,11 +432,11 @@ class TestArrayForm:
         # u, v and w are compared on the scale of their row, as the claim
         # scan does, and h also inherits the cancellation of d^2 - 1
         for alpha, _, phis in random_scan_cases(22):
-            array = phase.structure_functions_grid(alpha, phis)
-            ref = [phase.structure_functions(alpha, float(v)) for v in phis]
+            array = phase.structure_functions(alpha, phis)
+            ref = [scalar_structure(alpha, float(v)) for v in phis]
 
             def field(name):
-                return np.array([getattr(r, name) for r in ref], dtype=float)
+                return np.array([r[name] for r in ref])
             d = field("d")
             kappa_d = 1.0 + (np.abs((1.0 + alpha) / np.tan(phis))
                              + np.abs(alpha / np.tan(alpha * (PI - phis)
@@ -322,13 +451,43 @@ class TestArrayForm:
             for name in "uvw":
                 ulps = np.abs(getattr(array, name) - field(name)) / np.spacing(row)
                 assert np.all(ulps <= 4.0 * kappa_d), (alpha, name)
-            h = field("h")  # NaN where the scalar form gives None
+            h = field("h")
             assert np.array_equal(np.isnan(array.h), np.isnan(h))
             kappa_h = kappa_d * (1.0 + (d * d + 1.0) / np.abs(d * d - 1.0))
             ulps = np.abs(array.h - h) / np.spacing(np.abs(h))
             assert np.all(ulps[~np.isnan(h)] <= 4.0 * kappa_h[~np.isnan(h)])
 
-    @pytest.mark.parametrize("fn", ARRAY_FORMS)
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is plain double here")
+    @pytest.mark.parametrize("alpha, theta", [(2.0, 2.9), (0.7, 2.9),
+                                              (2.0, 1.0), (4.0, 2.5)])
+    def test_t_modulus_against_long_double(self, alpha, theta):
+        # l = |e^{iy} - Theta|^2 and, for theta near pi, the denominator
+        # |Theta^alpha e^{-iz} - s(theta)|^2 tend to 0 as phi -> pi; in their
+        # expanded forms they cancelled to 1e4-1e5 ulp at phi <= 3.13
+        ld = np.longdouble
+        phis = np.linspace(2.5, 3.13, 400)
+
+        def big_of(a, t):
+            v = PI - t  # exact, as in the code under test
+            sin_t = np.where(t <= PI / 2, np.sin(t), np.sin(v))
+            return sin_t / ((1 + a) * np.sin(v / (1 + a)))
+        a = ld(alpha)
+        t = phis.astype(ld)
+        th = np.array([theta], dtype=ld)
+        s_theta = big_of(1 / a, th) ** a * big_of(a, th)
+        big = big_of(1 / a, t)
+        y = (PI - t) / (1 + a)
+        k = big ** (2 * a)
+        l = (np.cos(y) - big) ** 2 + np.sin(y) ** 2
+        den = ((big ** a * np.cos(a * y) - s_theta) ** 2
+               + (big ** a * np.sin(a * y)) ** 2)
+        ref = k * l / den
+        values = phase.t_modulus(Params(alpha, 0.0, 0.0), theta, phis)
+        ulps = np.abs(values - ref.astype(float)) / np.spacing(ref.astype(float))
+        assert ulps.max() <= 1e3, ulps.max()
+
+    @pytest.mark.parametrize("fn", PHI_FORMS)
     @pytest.mark.parametrize("bad", [0.0, PI, -0.5, 4.0, math.nan])
     def test_bad_phi_raises_as_for_float(self, fn, bad):
         p = Params(2.0, 0.5, -0.3)
@@ -336,22 +495,33 @@ class TestArrayForm:
             with pytest.raises(InputError, match="phi must lie in"):
                 fn(p, 1.0, phi)
 
+    @pytest.mark.parametrize("name", sorted(ARRAY_FORMS))
+    @pytest.mark.parametrize("bad", [-3.5, 3.5, math.nan])
+    def test_bad_angle_raises_for_arrays(self, name, bad):
+        _, fn = ARRAY_FORMS[name]
+        p = Params(2.0, 0.5, -0.3)
+        for angle in (bad, np.array([0.3, bad, 1.2])):
+            with pytest.raises(InputError, match="must lie in"):
+                fn(p, 1.0, angle)
+
     @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
     def test_pole_raises_as_for_float(self, monkeypatch, fn):
         # xi(phi) never meets t(theta) for phi in (0, pi), so the pole is
         # planted: at alpha = 1, big = s(theta) and z = 0 make den exactly 0
-        # at the last node
+        # at the node phi = 1.3 (the frame at theta itself stays untouched)
         p = Params(1.0, 0.0, 0.0)
         theta = 1.0
-        frame = phase._frame_np
+        frame = phase._frame
+        root = phase.theta_major(1.0, theta)
 
         def at_pole(alpha, phi):
             big, y, z, cy, upper = frame(alpha, phi)
-            big[-1] = phase._s_value(alpha, theta)
-            z[-1] = 0.0
+            if phi[-1] == 1.3:
+                big[-1] = root * root  # s(theta) at alpha = 1
+                z[-1] = 0.0
             return big, y, z, cy, upper
 
-        monkeypatch.setattr(phase, "_frame_np", at_pole)
+        monkeypatch.setattr(phase, "_frame", at_pole)
         for phi in (1.3, np.array([0.4, 1.3])):
             with pytest.raises(ValueError, match="pole hit") as exc:
                 fn(p, theta, phi)

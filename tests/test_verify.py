@@ -1,11 +1,11 @@
 import json
 import math
+import random
 import time
 
-import numpy as np
 import pytest
 
-from biortho import phase
+from biortho import phase, verify
 from biortho.polys import Params
 from biortho.verify import (
     biorthogonality_check,
@@ -50,6 +50,24 @@ class TestIdentitySuite:
         r1 = identity_suite(50, seed=3)
         r2 = identity_suite(50, seed=3)
         assert [r.as_dict() for r in r1] == [r.as_dict() for r in r2]
+
+    def test_matches_pointwise_loop(self):
+        # all samples in one array call report what a loop of float calls
+        # over the same draws reports: the first sample of largest residual
+        records = identity_suite(100, seed=5)
+        for record, (check_id, tol, names, draw, residuals) in zip(
+                records, verify._identity_definitions()):
+            rng = random.Random(5)
+            worst, worst_point = -1.0, None
+            for _ in range(100):
+                point = draw(rng)
+                residual = float(residuals(*point))
+                if residual > worst:
+                    worst, worst_point = residual, dict(zip(names, point))
+            assert record.check_id == check_id
+            assert record.witness == {"worst_residual": worst,
+                                      "worst_point": worst_point}
+            assert record.status == ("pass" if worst <= tol else "fail")
 
     def test_seed_changes_witness(self):
         r1 = identity_suite(50, seed=3)
@@ -135,17 +153,31 @@ class TestLemmaScans:
         worst, failure = -1.0, None
         for i in range(300):
             ph = (i + 1) * PI / 301
-            sb = phase.structure_functions_grid(alpha, np.array([ph]))
-            u, v, w, s, h = (float(getattr(sb, k)[0]) for k in "uvwsh")
+            sb = phase.structure_functions(alpha, ph)
+            u, v, w, s, h = (getattr(sb, k) for k in "uvwsh")
             scale = max(abs(u * s ** 2), abs(v * s), abs(w), 1e-300)
             worst = max(worst, abs(u * s ** 2 + v * s + w) / scale)
             if abs(u) <= tol * max(abs(u), abs(v), abs(w)):
                 if not w < 0.0:
                     failure = {"phi": ph, "u": u, "w": w}
-            elif 0.0 < h < 1.0:
+            elif h is not None and 0.0 < h < 1.0:
                 failure = {"phi": ph, "u": u, "h": h}
         assert rec.witness["worst_quadratic_residual"] == worst
         assert rec.witness["dichotomy_failure"] == failure
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.99])
+    def test_counterexample_matches_pointwise_loop(self, alpha):
+        # the array scan reports the first angle of the sequence that the
+        # per-angle loop it replaces stopped at
+        rec = counterexample_scan(alpha)
+        ph = 0.19
+        while ph > 1e-6:
+            sb = phase.structure_functions(alpha, ph)
+            if sb.u > 0.0 and sb.h is not None and 0.0 < sb.h < 1.0:
+                break
+            ph *= 0.7
+        assert rec.witness == {"phi": ph, "u": sb.u, "h": sb.h,
+                               "lambda": sb.lambda_low}
 
     def test_claim_scope(self):
         with pytest.raises(ValueError):
