@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--n-dyadic", required=True, metavar="K0..K1",
-                    help="degrees 2^K0 .. 2^K1 (K1 > K0 >= 3)")
+                    help="degrees 2^K0 .. 2^K1 (K1 >= K0 + 2, K0 >= 3)")
     sp.add_argument("--reference", default="contour",
                     choices=("exact", "contour", "auto"))
     sp.add_argument("--allow-unproven", action="store_true")
@@ -207,8 +207,8 @@ def _parse_dyadic(text: str):
         k0, k1 = int(lo), int(hi)
     except ValueError as exc:
         raise InputError(f"bad --n-dyadic {text!r}; expected K0..K1") from exc
-    if not (k1 > k0 >= 3):
-        raise InputError("--n-dyadic requires K1 > K0 >= 3")
+    if not (k1 - 2 >= k0 >= 3):  # a slope fit needs three degrees
+        raise InputError("--n-dyadic requires K1 >= K0 + 2 and K0 >= 3")
     return [2 ** k for k in range(k0, k1 + 1)]
 
 

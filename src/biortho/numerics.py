@@ -166,22 +166,14 @@ def dd_div(xh, xl, yh, yl):
     return s, q2 - (s - q1)
 
 
-def dd_sum(hs: np.ndarray, ls: np.ndarray, axis: int = 0):
-    """Double-double reduction along an axis via pairwise folding."""
-    hs = np.asarray(hs, dtype=float)
-    ls = np.asarray(ls, dtype=float)
-    while hs.shape[axis] > 1:
-        m = hs.shape[axis]
-        half = (m + 1) // 2
-        first = np.take(hs, range(0, half), axis=axis)
-        firstl = np.take(ls, range(0, half), axis=axis)
-        rest = np.take(hs, range(half, m), axis=axis)
-        restl = np.take(ls, range(half, m), axis=axis)
-        pad = first.shape[axis] - rest.shape[axis]
-        if pad:
-            shape = list(rest.shape)
-            shape[axis] = pad
-            rest = np.concatenate([rest, np.zeros(shape)], axis=axis)
-            restl = np.concatenate([restl, np.zeros(shape)], axis=axis)
-        hs, ls = dd_add(first, firstl, rest, restl)
-    return np.take(hs, 0, axis=axis), np.take(ls, 0, axis=axis)
+def dd_sum(hs: np.ndarray, ls: np.ndarray):
+    """Double-double sum over axis 0 by pairwise folding: row i is added to
+    row i + ceil(m/2), and an odd middle row carries to the next level."""
+    hs = np.array(hs, dtype=float)
+    ls = np.array(ls, dtype=float)
+    m = hs.shape[0]
+    while m > 1:
+        half, keep = m // 2, (m + 1) // 2
+        hs[:half], ls[:half] = dd_add(hs[:half], ls[:half], hs[keep:m], ls[keep:m])
+        m = keep
+    return hs[0], ls[0]

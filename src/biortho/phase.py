@@ -403,11 +403,10 @@ def _saddle_factors(p: Params, theta: float):
     alpha, a, b = p.alpha, p.a, p.b
     at = _at_theta(alpha, theta)
     big, small = at.big, at.small
-    cz = math.cos(at.z)
-    lower = complex(cz - small, math.sin(at.z))
+    lower = complex(math.cos(at.z) - small, math.sin(at.z))
     dens = (small ** ((a + 1.0) / alpha - 1.0),
             (1.0 - big * small ** (1.0 / alpha)) ** b,
-            1.0 + small * small - 2.0 * small * cz)
+            _l_value(lower))
     return at, lower, dens
 
 

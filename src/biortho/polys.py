@@ -7,11 +7,13 @@ normalization is fixed by the value at x = 1.
 
 The alternating sums cancel violently (the condition number grows roughly
 like the inverse n-th power of the sine ratio at interior points, and much
-faster for large exponents near x = -1), so each coefficient is computed once
-per (alpha, a, b, n) as an exact rational (floats are dyadic), rounded once to
-double-double (ScopeError beyond the double range), and the sum is accumulated
-in double-double.  A condition estimate (largest |term| over |value|) is always
-reported; values with condition_estimate > 1e12 must be treated as unreliable.
+faster for large exponents near x = -1), so each coefficient of either sum is
+computed once per (alpha, a, b, n) as an exact integer ratio (floats are
+dyadic), rounded once to double-double by _round_dd (ScopeError from 2^996 on),
+and the sum is accumulated in double-double.  Only x = 1 short-circuits, to the
+correctly rounded normalization.  A condition estimate (largest |term| over
+|value|) is always reported; values with condition_estimate > 1e12 must be
+treated as unreliable.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .numerics import dd_div, dd_mul, dd_sum, dd_two_sum
+from .numerics import dd_mul, dd_sum, dd_two_sum
 
 __all__ = [
     "Params",
@@ -47,6 +49,8 @@ RELIABLE_CONDITION = 1e12
 # higher degree can be rounded
 _MAX_DEGREE = 1029
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# from 2^996 on, the Dekker split in the double-double products overflows
+_DD_LIMIT = 2.0 ** 996
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,17 @@ def _poch_numerators(a: float, alpha: float, n: int):
     return numerator, al ** n * math.factorial(n)
 
 
+def _round_dd(top: int, bot: int):
+    """The integer ratio top/bot (bot > 0) as a double-double: int true
+    division rounds hi correctly, then lo is the remainder, rounded.
+    OverflowError when |hi| >= 2^996, beyond the double-double products."""
+    hi = top / bot
+    if abs(hi) >= _DD_LIMIT:
+        raise OverflowError
+    p, q = hi.as_integer_ratio()
+    return hi, (top * q - p * bot) / (bot * q)
+
+
 def _log_terms_beyond_range(alpha: float, a: float, b: float, n: int) -> bool:
     """Whether some term B[r] C(r, s) A[s] of the degree-n table certainly
     exceeds the double range: its log-Gamma form is over log(DBL_MAX) by
@@ -145,7 +160,7 @@ def _biortho_table(alpha: float, a: float, b: float, n: int):
     rounded once to double-double.  absmax[r] = max_s |B[r] C(r, s) A[s]|
     keeps the cancellation of the full double sum in the condition estimate.
     """
-    b_num, b_den = float(b).as_integer_ratio()
+    step_b, den_b = _poch_numerators(b, 1.0, 1)  # n-r+b+1 = step_b(n-r)/den_b
     try:
         # the degree limit and the largest A[s] go first, then a log bound on
         # every term, so overflows cost O(n) big-integer and O(n^2) float work
@@ -161,24 +176,20 @@ def _biortho_table(alpha: float, a: float, b: float, n: int):
         pascal, bn, bd = [1], 1, 1  # row r of C(r, s); Bnum[r], db^r r!
         for r in range(n + 1):
             if r > 0:
-                bn *= b_num + (n - r + 1) * b_den
-                bd *= b_den * r
+                bn *= step_b(n - r)
+                bd *= den_b * r
                 # sum_{s<=r} (-1)^s C(r,s) N[s] = (-1)^r * (r-th forward difference at 0)
                 diff = list(map(operator.sub, diff[1:], diff))
                 pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
-            # int true division rounds correctly: hi = p/q, then the remainder
             top = -diff[0] * bn if r & 1 else diff[0] * bn
-            bot = bd * den_a
-            coef_h[r] = hi = top / bot
-            p, q = hi.as_integer_ratio()
-            coef_l[r] = (top * q - p * bot) / (bot * q)
+            coef_h[r], coef_l[r] = _round_dd(top, bd * den_a)
             absmax[r] = bn / bd * max(map(operator.mul, map(float, pascal), a_abs))
             if absmax[r] == math.inf:
                 raise OverflowError
     except OverflowError:
         raise ScopeError(
             f"exact coefficients of degree {n} at alpha={alpha!r}, a={a!r}, "
-            f"b={b!r} exceed the double range; use --method contour") from None
+            f"b={b!r} exceed the double range; use the contour method") from None
     return coef_h, coef_l, absmax
 
 
@@ -186,31 +197,32 @@ def _biortho_table(alpha: float, a: float, b: float, n: int):
 def _jacobi_table(a: float, b: float, n: int):
     """Coefficient table for the classical single-sum representation.
 
-    term(r) = (-1)^r * [Gamma(n+a+1)/(Gamma(r+a+1) (n-r)!)]
-                     * [Gamma(n+b+1)/(Gamma(n-r+b+1) r!)]
+    term(r) = (-1)^r * A'[r] * B[r] with A'[r] = Gamma(n+a+1)/(Gamma(r+a+1) (n-r)!)
+    and B[r] as in the biorthogonal table.  A'[r] = Poch(r+a+1, n-r)/(n-r)!
+    is numerator(r)/den of _poch_numerators(a, 1, n-r), reached from r = 0 by
+    exact division, so each term is an integer ratio, rounded once.
+    ScopeError beyond the double-double range.
     """
-    t_h = np.empty(n + 1)
-    t_l = np.empty(n + 1)
-    # A'[r] = Gamma(n+a+1)/(Gamma(r+a+1)(n-r)!), built downward from A'[n] = 1
-    ap_h = np.ones(n + 1)
-    ap_l = np.zeros(n + 1)
-    run_h, run_l = 1.0, 0.0
-    for r in range(n - 1, -1, -1):
-        f_h, f_l = dd_two_sum(a, float(r + 1))
-        f_h, f_l = dd_div(f_h, f_l, float(n - r), 0.0)
-        run_h, run_l = dd_mul(run_h, run_l, f_h, f_l)
-        ap_h[r], ap_l[r] = run_h, run_l
-    # B'[r] as in the biorthogonal table
-    run_h, run_l = 1.0, 0.0
-    t_h[0], t_l[0] = ap_h[0], ap_l[0]
-    for r in range(1, n + 1):
-        f_h, f_l = dd_two_sum(b, float(n - r + 1))
-        f_h, f_l = dd_div(f_h, f_l, float(r), 0.0)
-        run_h, run_l = dd_mul(run_h, run_l, f_h, f_l)
-        h, l = dd_mul(ap_h[r], ap_l[r], run_h, run_l)
-        if r & 1:
-            h, l = -h, -l
-        t_h[r], t_l[r] = h, l
+    try:
+        if n > _MAX_DEGREE:  # term(r) > C(n-1, r-1) C(n-1, r) overflows there
+            raise OverflowError
+        numerator, bot_a = _poch_numerators(a, 1.0, n)
+        step_a, den_a = _poch_numerators(a, 1.0, 1)  # r+a+1 = step_a(r)/den_a
+        step_b, den_b = _poch_numerators(b, 1.0, 1)
+        top_a, top_b, bot_b = numerator(0), 1, 1
+        t_h, t_l = np.empty((2, n + 1))
+        for r in range(n + 1):
+            if r > 0:
+                top_a //= step_a(r - 1)
+                bot_a //= den_a * (n - r + 1)
+                top_b *= step_b(n - r)
+                bot_b *= den_b * r
+            top = top_a * top_b
+            t_h[r], t_l[r] = _round_dd(-top if r & 1 else top, bot_a * bot_b)
+    except OverflowError:
+        raise ScopeError(
+            f"classical coefficients of degree {n} at a={a!r}, b={b!r} exceed "
+            f"the double range; use the contour method") from None
     return t_h, t_l
 
 
@@ -244,7 +256,7 @@ def _bernstein_dd_sum(coef_h, coef_l, n: int, xs: np.ndarray):
     pow2h, pow2l = pow2h[::-1], pow2l[::-1]
     th, tl = dd_mul(coef_h[:, None], coef_l[:, None], pow1h, pow1l)
     th, tl = dd_mul(th, tl, pow2h, pow2l)
-    sum_h, sum_l = dd_sum(th, tl, axis=0)
+    sum_h, sum_l = dd_sum(th, tl)
     return sum_h + sum_l, th, pow1h, pow2h
 
 
@@ -270,8 +282,8 @@ def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
 def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
     """Biorthogonal polynomial value from the explicit double sum.
 
-    x = +-1 short-circuits to the boundary closed forms (only the r = 0 or
-    r = n chains survive); the generic path is used elsewhere.
+    x = 1 short-circuits to the correctly rounded normalization_at_one; every
+    other x, -1 included, runs the generic double-double path.
     """
     n = _validate_degree(n)
     x = float(x)
@@ -280,11 +292,6 @@ def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
     count = (n + 1) * (n + 2) // 2
     if x == 1.0:
         return EvalResult(normalization_at_one(p, n), 1.0, count)
-    if x == -1.0:
-        coef_h, coef_l, absmax = _biortho_table(p.alpha, p.a, p.b, n)
-        value = coef_h[n] + coef_l[n]
-        cond = absmax[n] / abs(value) if value != 0.0 else math.inf
-        return EvalResult(float(value), max(float(cond), 1.0), count)
     values, cond = eval_biortho_grid(p, n, np.array([x]))
     return EvalResult(float(values[0]), float(cond[0]), count)
 

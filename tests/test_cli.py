@@ -248,6 +248,13 @@ class TestTable:
                          "--b", "0", "--theta", "1.0", "--n-dyadic", "9..3")
         assert code == 2
 
+    @pytest.mark.parametrize("dyadic", ["3..4", "9..10", "5..5"])
+    def test_two_degrees_cannot_fit_a_slope(self, capsys, dyadic):
+        code, _, err = run(capsys, "table", "--alpha", "1", "--a", "0",
+                           "--b", "0", "--theta", "1.0", "--n-dyadic", dyadic)
+        assert code == 2
+        assert "K1 >= K0 + 2" in err
+
 
 class TestContourDump:
     def test_unit_circle(self, capsys):

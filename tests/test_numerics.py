@@ -123,7 +123,7 @@ class TestDoubleDouble:
     def test_vector_sum_cancellation(self):
         hs = np.array([1e16, 1.0, -1e16, 1e-8])
         ls = np.zeros(4)
-        h, l = dd_sum(hs, ls, axis=0)
+        h, l = dd_sum(hs, ls)
         assert float(h) + float(l) == pytest.approx(1.00000001, abs=1e-18)
 
     def test_add_is_exact_for_two_doubles(self):

@@ -622,6 +622,46 @@ class TestSaddleData:
         rhs = alpha / math.sqrt(1.0 + alpha) * sd.m_alpha
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is plain double here")
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("theta", [2.9, 3.1, 3.14])
+    def test_saddle_amplitudes_against_long_double(self, alpha, theta):
+        # |e^{iz} - Theta_alpha|^2 divides g and M; expanded as
+        # 1 + Theta_alpha^2 - 2 Theta_alpha cos z it lost 1e5 ulp at 3.14.
+        # The real parts of e^{iy} - Theta and e^{iz} - Theta_alpha still
+        # cancel to about eps/(pi - theta), some 1e3 ulp at 3.14.  b = 0
+        # leaves out ((1+x)/2)^b, which cancels likewise.
+        ld, a = np.longdouble, 0.5
+        pi, al = ld(PI), ld(alpha)  # the float pi, as in the code
+        v = pi - ld(theta)  # theta > pi/2: the code takes sin, cos of v
+        i = np.clongdouble(1j)
+
+        def big_of(c):
+            return np.sin(v) / ((1 + c) * np.sin(v / (1 + c)))
+
+        def prime_of(c):
+            w = v / (1 + c)
+            return (((1 + c) * -np.cos(v) * np.sin(w) + np.sin(v) * np.cos(w))
+                    / ((1 + c) ** 2 * np.sin(w) ** 2))
+        big, small = big_of(1 / al), big_of(al)
+        y = v / (1 + al)
+        z = al * y
+        upper = (np.cos(y) - big) + i * np.sin(y)
+        lower = (np.cos(z) - small) + i * np.sin(z)
+        dens = small ** ((a + 1) / al - 1) * ((np.cos(z) - small) ** 2 + np.sin(z) ** 2)
+        xi_prime = (-2 * al / (1 + al) * big ** (al - 1) * np.exp(-i * z)
+                    * ((1 + al) * prime_of(1 / al) + i * big))
+        g = (np.exp(-i * (pi + y * (a + 1 - al))) * lower * xi_prime
+             / (2 * big ** al * dens))
+        m = (np.exp(-i * (pi / 2 + y * (a + 1))) * np.sqrt(upper) * lower
+             / (np.sqrt(big) * dens))
+        p = Params(alpha, a, 0.0)
+        for value, ref in ((phase.g_at_saddle(p, theta), g),
+                           (phase.m_alpha(p, theta), m)):
+            ulps = abs(np.clongdouble(value) - ref) / np.spacing(float(abs(ref)))
+            assert ulps <= 1e4, ulps
+
     def test_sqrt_branch_argument(self):
         rng = random.Random(12)
         for _ in range(50):

@@ -155,6 +155,18 @@ class TestBiorthoTable:
                         assert coef_l[r] == float(exact - Fraction(coef_h[r]))
                         assert coef_h[r] + coef_l[r] == coef_h[r]
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.3])
+    def test_minus_one_is_the_last_coefficient(self, alpha):
+        # the generic path; at x = -1 only term r = n survives
+        for a, b in ((0.3, -0.5), (1.25, 0.7)):
+            p = Params(alpha, a, b)
+            for n in range(13):
+                res = eval_biortho(p, n, -1.0)
+                values, cond = eval_biortho_grid(p, n, [-1.0])
+                assert np.float64(res.value).tobytes() == values.tobytes()
+                assert np.float64(res.condition_estimate).tobytes() == cond.tobytes()
+                assert res.value == float(_biortho_coef_reference(alpha, a, b, n)[n])
+
     def test_beyond_double_range_is_a_scope_error(self):
         with pytest.raises(ScopeError, match="contour"):
             eval_biortho(Params(1.0, 0.0, 0.0), 400, 0.0)
@@ -201,6 +213,28 @@ class TestClassicalJacobi:
     def test_rep_vs_recurrence(self):
         assert eval_jacobi_rep(1.0, 1.0, 4, 0.2) == \
             pytest.approx(eval_jacobi_recurrence(1.0, 1.0, 4, 0.2), rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, 1.25), (0.3, -0.7),
+                                      (1 / 3, 0.1), (2.7, -0.99)])
+    def test_table_is_rounded_exact_rationals(self, a, b):
+        fa, fb = Fraction(a), Fraction(b)
+        for n in range(13):
+            t_h, t_l = polys._jacobi_table(a, b, n)
+            for r in range(n + 1):
+                # (-1)^r Poch(r+a+1, n-r)/(n-r)! * Poch(n-r+b+1, r)/r!
+                exact = ((-1) ** r * _poch(fa + r + 1, n - r) * _poch(fb + n - r + 1, r)
+                         / (math.factorial(n - r) * math.factorial(r)))
+                assert t_h[r] == float(exact)
+                assert t_l[r] == float(exact - Fraction(t_h[r]))
+
+    @pytest.mark.parametrize("n", [505, 515, 600])
+    def test_beyond_double_double_range_is_a_scope_error(self, n):
+        # some term exceeds 2^996, where the double-double products give NaN
+        polys._jacobi_table.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScopeError, match="contour"):
+                jacobi_rep_grid(0.0, 0.0, n, np.array([1.0, 0.3]))
 
     def test_cross_oracle_grid(self):
         xs = np.linspace(-1.0, 1.0, 41)
