@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--output", default=None,
                         help="output file (default: stdout)")
-        sp.add_argument("--format", default=None, choices=("json", "csv"),
-                        help="output format (commands support one each)")
         sp.add_argument("--config", default=None,
                         help="config file of key = value lines "
                              "(default: $BIORTHO_CONFIG)")
@@ -114,12 +112,6 @@ def _emit(text: str, output: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_format(args, expected: str) -> None:
-    if args.format is not None and args.format != expected:
-        raise InputError(
-            f"command '{args.command}' emits {expected}, not {args.format}")
 
 
 def _json_line(record: dict) -> str:
@@ -283,15 +275,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         config_path = args.config or os.environ.get("BIORTHO_CONFIG")
         config = load_config(config_path)
         if args.command == "eval":
-            _check_format(args, "json")
             return _cmd_eval(args, config)
         if args.command == "verify":
-            _check_format(args, "json")
             return _cmd_verify(args, config)
         if args.command == "table":
-            _check_format(args, "csv")
             return _cmd_table(args, config)
-        _check_format(args, "csv")
         return _cmd_contour_dump(args, config)
     except (InputError, OSError) as exc:
         sys.stderr.write(f"biortho: {exc}\n")

@@ -65,11 +65,11 @@ _PI = math.pi
 
 
 def _check_alpha(alpha):
-    # alpha > 0 as a float, or as a float array that broadcasts against the
-    # angles (the identity suite passes one alpha per sampled angle)
+    # finite alpha > 0 as a float, or as a float array that broadcasts against
+    # the angles (the identity suite passes one alpha per sampled angle)
     checked = np.asarray(alpha, dtype=float)
-    if not (checked > 0.0).all():
-        raise InputError(f"alpha must be > 0, got {alpha!r}")
+    if not ((checked > 0.0) & (checked < np.inf)).all():
+        raise InputError(f"alpha must be finite and > 0, got {alpha!r}")
     return checked if checked.ndim else float(checked)
 
 

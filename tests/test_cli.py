@@ -137,6 +137,23 @@ class TestEval:
                          "--n", "1", "--x", "0.1", "--method", "exact")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "inf", "--a", "0", "--b", "0", "--n", "3",
+         "--theta", "1", "--method", "asymptotic"],
+        ["eval", "--alpha", "2", "--a", "0", "--b", "inf", "--n", "3",
+         "--theta", "1", "--method", "contour"],
+        ["eval", "--alpha", "2", "--a=-inf", "--b", "0", "--n", "3",
+         "--x", "0.5", "--method", "exact"],
+        ["contour-dump", "--alpha", "inf", "--what", "contour", "--points", "3"],
+        ["table", "--alpha", "inf", "--a", "0", "--b", "0", "--theta", "1",
+         "--n-dyadic", "3..5"],
+    ])
+    def test_non_finite_params_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestVerify:
     def test_identities_green(self, capsys, tmp_path):
@@ -202,11 +219,6 @@ class TestVerify:
         assert main(["verify", "--suite", "all", "--seed", "7", "--jobs", jobs,
                      "--output", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
-
-    def test_format_mismatch(self, capsys):
-        code, _, _ = run(capsys, "verify", "--suite", "identities",
-                         "--format", "csv")
-        assert code == 2
 
     def test_failing_check_exits_one(self, capsys, tmp_path):
         # an unreachable tolerance forces a fail record

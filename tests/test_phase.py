@@ -417,6 +417,14 @@ class TestArrayForm:
         singles = [fn(float(a), float(t)) for a, t in zip(alphas, angles)]
         assert np.array(singles).tobytes() == fn(alphas, angles).tobytes()
 
+    @pytest.mark.parametrize("fn", [phase.theta_major, phase.theta_major_prime,
+                                    phase.d_of_phi, phase.lambda_of_phi])
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_bad_alpha_raises(self, fn, bad):
+        for alpha in (bad, np.array([2.0, bad])):
+            with pytest.raises(InputError, match="alpha must be finite"):
+                fn(alpha, 1.0)
+
     @pytest.mark.parametrize("form, scalar", [(phase.t_modulus, scalar_t_modulus),
                                               (phase.f_prime, scalar_f_prime)])
     def test_within_four_ulp_of_scalar_form(self, form, scalar):

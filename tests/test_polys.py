@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from biortho import polys
-from biortho.errors import ScopeError
+from biortho.errors import InputError, ScopeError
+from biortho.phase import x_of_theta
 from biortho.polys import (
     Params,
     chu_vandermonde_sides,
@@ -31,6 +32,8 @@ class TestParams:
 
     @pytest.mark.parametrize("alpha, a, b", [
         (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, -1.0, 0.0), (1.0, 0.0, -1.5),
+        (math.inf, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, math.inf),
+        (math.nan, 0.0, 0.0),
     ])
     def test_invalid(self, alpha, a, b):
         with pytest.raises(ValueError):
@@ -44,7 +47,6 @@ class TestBiortho:
                 res = eval_biortho(p, 0, x)
                 assert res.value == pytest.approx(1.0, abs=1e-14)
                 assert res.condition_estimate == 1.0
-                assert res.terms_used == 1
 
     def test_value_at_one_is_normalization(self):
         p = Params(2.0, 0.5, -0.3)
@@ -63,7 +65,6 @@ class TestBiortho:
         p = Params(2.0, 0.0, 0.0)
         assert eval_biortho(p, 1, 0.0).value == pytest.approx(0.0, abs=1e-15)
         assert eval_biortho(p, 1, 0.6).value == pytest.approx(0.3, rel=1e-14)
-        assert eval_biortho(p, 1, 0.0).terms_used == 3
 
     def test_alpha_one_matches_classical_rep(self):
         p = Params(1.0, 0.5, -0.3)
@@ -149,7 +150,7 @@ class TestBiorthoTable:
         for a in (-0.5, 0.3, 1.25):
             for b in (-0.5, 0.3, 1.25):
                 for n in range(13):
-                    coef_h, coef_l, _ = polys._biortho_table(alpha, a, b, n)
+                    coef_h, coef_l = polys._biortho_table(alpha, a, b, n)
                     for r, exact in enumerate(_biortho_coef_reference(alpha, a, b, n)):
                         assert coef_h[r] == float(exact)
                         assert coef_l[r] == float(exact - Fraction(coef_h[r]))
@@ -188,6 +189,73 @@ class TestBiorthoTable:
             values, cond = eval_biortho_grid(Params(2.0, 0.5, -0.3), 400, xs)
         assert not np.any(np.isnan(cond))
         assert np.all(np.isfinite(values))
+
+
+def _exact_bernstein_value(alpha, a, b, n, x):
+    """P_n(x) as an exact rational for a float x, from the integers of
+    _poch_numerators: A[s] = N(s)/den_a and B[r] = Poch(n-r+b+1, r)/r!."""
+    numerator, den_a = polys._poch_numerators(a, alpha, n)
+    big_n = [numerator(s) for s in range(n + 1)]
+    tops, bots = [], []
+    for r in range(n + 1):
+        num_b, den_b = polys._poch_numerators(b, 1.0, r)
+        inner = sum((-1) ** s * math.comb(r, s) * big_n[s] for s in range(r + 1))
+        tops.append(num_b(n - r) * inner)
+        bots.append(den_b * den_a)
+    den = math.lcm(*bots)
+    # (1-x)/2 = u/2^k and (1+x)/2 = v/2^k are exact dyadics
+    u, v = Fraction(1 - Fraction(x), 2), Fraction(1 + Fraction(x), 2)
+    scale = math.lcm(u.denominator, v.denominator)
+    u, v = int(u * scale), int(v * scale)
+    total = sum(t * (den // d) * u ** r * v ** (n - r)
+                for r, (t, d) in enumerate(zip(tops, bots)))
+    return Fraction(total, den * scale ** n)
+
+
+class TestAccuracyModel:
+    """The condition estimate is that of the outer Bernstein sum that runs."""
+
+    def test_alpha_one_matches_classical_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a, b = rng.uniform(-0.95, 3.0, size=2)
+            n = int(rng.integers(0, 61))
+            xs = rng.uniform(-1.0, 1.0, size=3)
+            values, cond = eval_biortho_grid(Params(1.0, a, b), n, xs)
+            ref_values, ref_cond = jacobi_rep_grid(a, b, n, xs)
+            assert values.tobytes() == ref_values.tobytes(), (a, b, n)
+            assert cond.tobytes() == ref_cond.tobytes(), (a, b, n)
+
+    def test_reliable_where_the_outer_sum_is_accurate(self):
+        # at theta = pi/2 the value agrees with the contour oracle to 2e-16 at
+        # n = 20 (outer-sum condition 5.4e5) and is off by 0.19 at n = 100
+        # (condition 4.9e31)
+        p = Params(2.0, 0.5, -0.3)
+        x = x_of_theta(p, math.pi / 2)
+        assert eval_biortho(p, 20, x).reliable
+        assert not eval_biortho(p, 100, x).reliable
+
+    def test_error_within_the_outer_sum_bound(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(60):
+            alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0, 0.7, 1.3, 2.9]))
+            a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
+            n = int(rng.integers(1, 121))
+            xs = rng.uniform(-1.0, 1.0, size=3)
+            try:
+                values, cond = eval_biortho_grid(Params(alpha, a, b), n, xs)
+            except ScopeError:
+                continue
+            for x, value, c in zip(xs, values, cond):
+                bound = 2 * n * (n + 1) * 2.0 ** -104 * c
+                if not bound < 0.5:
+                    continue
+                exact = _exact_bernstein_value(alpha, a, b, n, float(x))
+                rel = abs(Fraction(float(value)) - exact) / abs(exact)
+                assert rel <= bound + 2.0 ** -52, (alpha, a, b, n, x, float(rel))
+                checked += 1
+        assert checked >= 150
 
 
 class TestClassicalJacobi:
@@ -235,6 +303,13 @@ class TestClassicalJacobi:
             warnings.simplefilter("error")
             with pytest.raises(ScopeError, match="contour"):
                 jacobi_rep_grid(0.0, 0.0, n, np.array([1.0, 0.3]))
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 0.0), (0.0, math.inf),
+                                      (math.nan, 0.0), (-1.0, 0.0)])
+    def test_bad_parameters_raise(self, a, b):
+        for fn in (jacobi_rep_grid, jacobi_recurrence_grid):
+            with pytest.raises(InputError, match="finite a, b > -1"):
+                fn(a, b, 3, [0.5])
 
     def test_cross_oracle_grid(self):
         xs = np.linspace(-1.0, 1.0, 41)
