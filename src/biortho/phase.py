@@ -2,10 +2,11 @@
 
 Covers the monotone angle maps and their derivatives, the point map x(theta)
 and its inverse, the auxiliary map t(theta), the integration contour and its
-derivative, the phase f and amplitude g of the contour integrand, the
-modulus-square T, all saddle-point data (including the n-free amplitude
-factor M), plus the structure functions k, l, r, s, u, v, w, d, h, Delta
-and lambda used by the monotonicity and claim scans.
+derivative, the phase f and amplitude g of the contour integrand and the
+integrand e^{n (f - f0)} g itself, the modulus-square T, all saddle-point
+data (including the n-free amplitude factor M), plus the structure
+functions k, l, r, s, u, v, w, d, h, Delta and lambda used by the
+monotonicity and claim scans.
 
 Each angle quantity has one implementation, on numpy arrays.  The public
 functions of an angle take it as a float or an array: an array gives values
@@ -31,13 +32,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .numerics import complex_pow_principal, find_root_bisect
+from .numerics import DEAD_LOG, complex_pow_principal, find_root_bisect
 from .polys import Params
 
 __all__ = [
     "ContourPoint",
     "SaddleData",
     "StructureBundle",
+    "contour_integrand",
     "contour_point",
     "d_of_phi",
     "f_at_saddle",
@@ -122,6 +124,23 @@ def _cosine(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(near, c, -c)
 
 
+def _major(alpha, t: np.ndarray):
+    """theta_major(alpha, t) at angles t in (0, pi), alpha checked, with the
+    parts its derivative reuses: (value, v, sin t, w, sin w), v = pi - t and
+    w = v / (1+alpha)."""
+    v = _PI - t
+    st = _sine(t, v)
+    w = v / (1.0 + alpha)
+    sw = np.sin(w)
+    return st / ((1.0 + alpha) * sw), v, st, w, sw
+
+
+def _major_prime(alpha, t, v, st, w, sw):
+    # the derivative in t of st / ((1+alpha) sw), from the parts of _major
+    u = (1.0 + alpha) * _cosine(t, v) * sw + st * np.cos(w)
+    return u / ((1.0 + alpha) ** 2 * sw * sw)
+
+
 def theta_major(alpha: float, t):
     """Monotone angle map sin(t) / ((1+alpha) sin((pi-t)/(1+alpha))).
 
@@ -136,24 +155,15 @@ def theta_major(alpha: float, t):
 
 def _theta_major(alpha: float, t: np.ndarray) -> np.ndarray:
     # theta_major for an already checked alpha > 0 and angles in (0, pi)
-    v = _PI - t
-    return _sine(t, v) / ((1.0 + alpha) * np.sin(v / (1.0 + alpha)))
+    return _major(alpha, t)[0]
 
 
 def theta_major_prime(alpha: float, t):
     """Analytic derivative of theta_major in t, a float or an array of
     angles in (0, pi)."""
     alpha = _check_alpha(alpha)
-    return _like(_theta_major_prime(alpha, _check_angles_open(t)), alpha, t)
-
-
-def _theta_major_prime(alpha: float, t: np.ndarray) -> np.ndarray:
-    # theta_major_prime for an already checked alpha > 0 and angles in (0, pi)
-    v = _PI - t
-    y = v / (1.0 + alpha)
-    sy = np.sin(y)
-    u = (1.0 + alpha) * _cosine(t, v) * sy + _sine(t, v) * np.cos(y)
-    return u / ((1.0 + alpha) ** 2 * sy * sy)
+    ts = _check_angles_open(t)
+    return _like(_major_prime(alpha, ts, *_major(alpha, ts)[1:]), alpha, t)
 
 
 def sine_ratio(alpha: float, theta: float) -> float:
@@ -212,24 +222,34 @@ def _at_theta(alpha: float, theta: float) -> _AtTheta:
     floats in scalar arithmetic; f_prime instead forms s(theta) by the array
     operations of s(phi), so that its saddle residual cancels exactly."""
     th = np.array([theta])
-    big, y, z, _, upper = _frame(alpha, th)
-    xi_prime = _xi_prime(alpha, th, big, z).item()
-    big, small = big.item(), _theta_major(alpha, th).item()
-    return _AtTheta(big, small, big ** alpha * small, y.item(), z.item(),
-                    upper.item(), xi_prime)
+    fr = _frame(alpha, th)
+    xi_prime = _xi_prime(alpha, fr, np.exp(-1j * fr.z)).item()
+    big, small = fr.big.item(), _theta_major(alpha, th).item()
+    return _AtTheta(big, small, big ** alpha * small, fr.y.item(), fr.z.item(),
+                    fr.upper.item(), xi_prime)
 
 
-def _frame(alpha: float, phi: np.ndarray):
+_Frame = namedtuple("_Frame", "phi v sine w sw big y z cy upper")
+
+
+def _frame(alpha, phi: np.ndarray) -> _Frame:
     """Upper-branch quantities at phi that every contour function reads.
 
-    Returns (big, y, z, cos y, upper) with big = theta_major(1/alpha, phi),
-    y = (pi-phi)/(1+alpha), z = alpha*y and upper = e^{iy} - big, whose
-    imaginary part is sin y (> 0 on (0, pi)).  phi must already be checked.
+    big = theta_major(1/alpha, phi) comes with the parts of _major that its
+    derivative reuses (v = pi - phi, sine = sin phi, w, sw); y = v/(1+alpha),
+    z = alpha*y, cy = cos y and upper = e^{iy} - big, whose imaginary part is
+    sin y (> 0 on (0, pi)).  phi must already be checked.
     """
-    big = _theta_major(1.0 / alpha, phi)
-    y = (_PI - phi) / (1.0 + alpha)
+    big, v, sine, w, sw = _major(1.0 / alpha, phi)
+    y = v / (1.0 + alpha)
     cy = np.cos(y)
-    return big, y, alpha * y, cy, (cy - big) + 1j * np.sin(y)
+    return _Frame(phi, v, sine, w, sw, big, y, alpha * y, cy,
+                  (cy - big) + 1j * np.sin(y))
+
+
+def _big_prime(alpha, fr: _Frame) -> np.ndarray:
+    # theta_major_prime(1/alpha, phi) from the frame's parts
+    return _major_prime(1.0 / alpha, fr.phi, fr.v, fr.sine, fr.w, fr.sw)
 
 
 def _l_value(upper: np.ndarray) -> np.ndarray:
@@ -238,11 +258,10 @@ def _l_value(upper: np.ndarray) -> np.ndarray:
     return upper.real * upper.real + upper.imag * upper.imag
 
 
-def _xi_prime(alpha: float, phi: np.ndarray, big: np.ndarray,
-              z: np.ndarray) -> np.ndarray:
-    prime = _theta_major_prime(1.0 / alpha, phi)
-    return (-2.0 * alpha / (1.0 + alpha) * big ** (alpha - 1.0)
-            * np.exp(-1j * z) * ((1.0 + alpha) * prime + 1j * big))
+def _xi_prime(alpha: float, fr: _Frame, e: np.ndarray) -> np.ndarray:
+    # the contour derivative xi'(phi), with e = e^{-iz} at the same phi
+    return (-2.0 * alpha / (1.0 + alpha) * fr.big ** (alpha - 1.0)
+            * e * ((1.0 + alpha) * _big_prime(alpha, fr) + 1j * fr.big))
 
 
 @dataclass(frozen=True)
@@ -272,11 +291,11 @@ def contour_point(p: Params, phi) -> ContourPoint:
     alpha = p.alpha
     size = np.abs(phis)
     inner = (size > 0.0) & (size < _PI)  # +pi names the same point as -pi
-    t = np.where(inner, size, 0.5 * _PI)
-    big, _, z, _, _ = _frame(alpha, t)
-    xi = np.where(inner, 1.0 - 2.0 * big ** alpha * np.exp(-1j * z),
+    fr = _frame(alpha, np.where(inner, size, 0.5 * _PI))
+    e = np.exp(-1j * fr.z)
+    xi = np.where(inner, 1.0 - 2.0 * fr.big ** alpha * e,
                   np.where(size == 0.0, 1.0, -1.0))
-    prime = np.where(inner, _xi_prime(alpha, t, big, z), np.nan)
+    prime = np.where(inner, _xi_prime(alpha, fr, e), np.nan)
     lower = inner & (phis < 0.0)
     xi = np.where(lower, xi.conj(), xi)
     prime = np.where(lower, -prime.conj(), prime)
@@ -286,13 +305,44 @@ def contour_point(p: Params, phi) -> ContourPoint:
                         prime.item(0) if inner[0] else None)
 
 
+def _integrand_parts(p: Params, theta: float, phi):
+    """What f and g both read at the angles phi, once checked: the theta
+    data, the frame, e^{-iz} and den = big^alpha e^{-iz} - s(theta)
+    (Im < 0), which must not vanish (a pole of the integrand)."""
+    at = _at_theta(p.alpha, _check_angle_open(theta, "theta"))
+    fr = _frame(p.alpha, _check_angles_open(phi, "phi"))
+    e = np.exp(-1j * fr.z)
+    den = fr.big ** p.alpha * e - at.s
+    if (den == 0).any():
+        raise ValueError("integrand pole hit (xi(phi) == t(theta))")
+    return at, fr, e, den
+
+
+def _f_values(alpha: float, fr: _Frame, den: np.ndarray) -> np.ndarray:
+    re = alpha * np.log(fr.big) + np.log(np.abs(fr.upper)) - np.log(np.abs(den))
+    # (pi + phi) + args - 2 pi, with phi - pi = -(pi - phi) taken exactly
+    im = -fr.v + np.angle(fr.upper) - np.angle(den)
+    return re + 1j * im
+
+
+def _g_values(p: Params, at: _AtTheta, fr: _Frame, e: np.ndarray,
+              den: np.ndarray) -> np.ndarray:
+    alpha, a, b = p.alpha, p.a, p.b
+    ratio = (fr.big / at.big) ** (a + 1.0 - alpha)
+    phase = np.exp(-1j * (_PI + fr.y * (a + b + 1.0 - alpha)))
+    upper_b = np.exp(b * np.log(fr.upper))  # principal power; Im upper > 0
+    base_b = (1.0 - at.big * at.small ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
+    return (ratio * phase * upper_b * _xi_prime(alpha, fr, e)
+            / (2.0 * at.small ** ((a + 1.0) / alpha - 1.0) * base_b * den))
+
+
 def f_phase(p: Params, theta: float, phi):
     """Phase function of the contour integrand, continuous in phi.
 
     phi is a float or an array of angles in (0, pi); the result is a complex
     or a complex array of the same shape, computed elementwise by the same
-    operations either way.  The contour oracle passes every node of one
-    refinement level at once.
+    operations either way.  contour_integrand computes the same values by
+    the same operations.
 
     The real part is the log-magnitude; the argument is accumulated factor by
     factor (each factor stays inside an open half-plane, so no branch cut is
@@ -300,17 +350,8 @@ def f_phase(p: Params, theta: float, phi):
     A single principal Log of the assembled product would jump by 2*pi for
     some parameters and break e^{n f} quadrature.
     """
-    theta = _check_angle_open(theta, "theta")
-    phis = _check_angles_open(phi, "phi")
-    alpha = p.alpha
-    big, _, z, _, upper = _frame(alpha, phis)
-    den = big ** alpha * np.exp(-1j * z) - _at_theta(alpha, theta).s  # Im < 0
-    if (den == 0).any():
-        raise ValueError("f_phase: integrand pole hit (xi(phi) == t(theta))")
-    re = alpha * np.log(big) + np.log(np.abs(upper)) - np.log(np.abs(den))
-    # (pi + phi) + args - 2 pi, with phi - pi = -(pi - phi) taken exactly
-    im = -(_PI - phis) + np.angle(upper) - np.angle(den)
-    return _like(re + 1j * im, phi)
+    _, fr, _, den = _integrand_parts(p, theta, phi)
+    return _like(_f_values(p.alpha, fr, den), phi)
 
 
 def g_amplitude(p: Params, theta: float, phi):
@@ -318,22 +359,33 @@ def g_amplitude(p: Params, theta: float, phi):
 
     phi is a float or an array of angles in (0, pi), as for f_phase.
     """
-    theta = _check_angle_open(theta, "theta")
-    phis = _check_angles_open(phi, "phi")
-    alpha, a, b = p.alpha, p.a, p.b
-    big, y, z, _, upper = _frame(alpha, phis)
-    at = _at_theta(alpha, theta)
-    big_t, small_t = at.big, at.small
-    den = big ** alpha * np.exp(-1j * z) - at.s
-    if (den == 0).any():
-        raise ValueError("g_amplitude: integrand pole hit")
-    ratio = (big / big_t) ** (a + 1.0 - alpha)
-    phase = np.exp(-1j * (_PI + y * (a + b + 1.0 - alpha)))
-    upper_b = np.exp(b * np.log(upper))  # principal power; Im upper > 0
-    base_b = (1.0 - big_t * small_t ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
-    return _like(ratio * phase * upper_b * _xi_prime(alpha, phis, big, z)
-                 / (2.0 * small_t ** ((a + 1.0) / alpha - 1.0) * base_b * den),
-                 phi)
+    at, fr, e, den = _integrand_parts(p, theta, phi)
+    return _like(_g_values(p, at, fr, e, den), phi)
+
+
+def contour_integrand(p: Params, theta: float, phi, n: int, f0: complex):
+    """The contour integrand with the saddle factor taken out,
+    e^{n (f - f0)} g at phi, for the degree n and f0 = f_at_saddle.
+
+    phi is a float or an array of angles in (0, pi), as for f_phase; the
+    contour oracle passes every node of one refinement level at once.  The
+    quantities that f and g share are computed once, and each value equals
+    np.exp(n * (f_phase - f0)) * g_amplitude bit for bit.  Where
+    n Re(f - f0) < DEAD_LOG the exponential underflows: the value is exactly
+    0 and g is not computed.  Overflow and invalid operations in the
+    exponential and in g give non-finite values without a warning, for the
+    caller to check.
+    """
+    at, fr, e, den = _integrand_parts(p, theta, phi)
+    w = n * (_f_values(p.alpha, fr, den) - f0)
+    live = ~(w.real < DEAD_LOG)  # NaN stays live
+    with np.errstate(over="ignore", invalid="ignore"):
+        if live.all():
+            return _like(np.exp(w) * _g_values(p, at, fr, e, den), phi)
+        values = np.zeros(fr.phi.shape, dtype=complex)
+        values[live] = np.exp(w[live]) * _g_values(
+            p, at, _Frame(*(q[live] for q in fr)), e[live], den[live])
+    return _like(values, phi)
 
 
 def t_modulus(p: Params, theta: float, phi):
@@ -345,13 +397,13 @@ def t_modulus(p: Params, theta: float, phi):
     theta = _check_angle_open(theta, "theta")
     phis = _check_angles_open(phi, "phi")
     alpha = p.alpha
-    big, _, z, _, upper = _frame(alpha, phis)
-    head = big ** alpha
+    fr = _frame(alpha, phis)
+    head = fr.big ** alpha
     # den = |head e^{-iz} - s(theta)|^2 from its real and imaginary parts:
     # expanded, it cancels as phi -> pi when theta is near pi
-    gap = head * np.cos(z) - _at_theta(alpha, theta).s
-    den = gap * gap + (head * np.sin(z)) ** 2
-    return _like(big ** (2.0 * alpha) * _l_value(upper) / den, phi)
+    gap = head * np.cos(fr.z) - _at_theta(alpha, theta).s
+    den = gap * gap + (head * np.sin(fr.z)) ** 2
+    return _like(fr.big ** (2.0 * alpha) * _l_value(fr.upper) / den, phi)
 
 
 def f_prime(p: Params, theta: float, phi):
@@ -367,17 +419,18 @@ def f_prime(p: Params, theta: float, phi):
     theta = _check_angle_open(theta, "theta")
     phis = _check_angles_open(phi, "phi")
     alpha = p.alpha
-    big, y, z, _, _ = _frame(alpha, phis)
+    fr = _frame(alpha, phis)
+    big, e = fr.big, np.exp(-1j * fr.z)
     s_theta = _s_value(alpha, np.array([theta]))
     small = _theta_major(alpha, phis)
     s_phi = big ** alpha * small
-    upp = -2.0 * (big / small) * (s_phi - s_theta) * np.exp(-1j * (_PI - phis))
-    head = big ** alpha * np.exp(-1j * z)  # (1 - xi) / 2
-    low = (alpha * (2.0 * head) * (1.0 - big * np.exp(-1j * y))
+    upp = -2.0 * (big / small) * (s_phi - s_theta) * np.exp(-1j * fr.v)
+    head = big ** alpha * e  # (1 - xi) / 2
+    low = (alpha * (2.0 * head) * (1.0 - big * np.exp(-1j * fr.y))
            * (-2.0 * (head - s_theta)))
     if (low == 0).any():
         raise ValueError("f_prime: denominator vanished")
-    return _like(upp / low * _xi_prime(alpha, phis, big, z), phi)
+    return _like(upp / low * _xi_prime(alpha, fr, e), phi)
 
 
 @dataclass(frozen=True)
@@ -493,8 +546,8 @@ def phi_star(alpha: float, tol: float = 1e-12) -> float:
     pi produces sign noise, while d < 1 already holds far earlier.
     """
     alpha = _check_alpha(alpha)
-    return find_root_bisect(lambda t: _d_of_phi(alpha, np.array([t])).item()
-                            - 1.0, 1e-9, _PI - 1e-4, tol)
+    return find_root_bisect(lambda t: _d_of_phi(alpha, t) - 1.0,
+                            1e-9, _PI - 1e-4, tol)
 
 
 @dataclass(frozen=True)
@@ -521,23 +574,23 @@ def structure_functions(alpha: float, phi) -> StructureBundle:
     (0, pi); the claim scan passes its whole grid at once."""
     alpha = _check_alpha(alpha)
     phis = _check_angles_open(phi, "phi")
-    big, y, z, cy, upper = _frame(alpha, phis)
-    sy = upper.imag
-    big_prime = _theta_major_prime(1.0 / alpha, phis)
+    fr = _frame(alpha, phis)
+    big, z, cy = fr.big, fr.z, fr.cy
+    sy = fr.upper.imag
+    big_prime = _big_prime(alpha, fr)
     small = _theta_major(alpha, phis)
     cz, sz = np.cos(z), np.sin(z)
-    sin_phi = _sine(phis, _PI - phis)
     one_p_a = 1.0 + alpha
 
     k = big ** (2.0 * alpha)
-    l = _l_value(upper)
+    l = _l_value(fr.upper)
     r = -2.0 * big ** alpha * cz
     s = big ** alpha * small
 
     d = _d_of_phi(alpha, phis)
     dd2 = d * d - 1.0
     u = 2.0 * sy / one_p_a * big ** (2.0 * alpha + 1.0) * dd2
-    w = (2.0 * sin_phi / (one_p_a * one_p_a)
+    w = (2.0 * fr.sine / (one_p_a * one_p_a)
          * big ** (4.0 * alpha + 1.0) * (dd2 * cz - 2.0 * d * sz))
 
     r_prime = -2.0 * (alpha * big ** (alpha - 1.0) * big_prime * cz

@@ -355,6 +355,8 @@ def chu_vandermonde_sides(n: int, r: int, a: float) -> Tuple[float, float]:
     r = _validate_degree(r)
     if r > n:
         raise InputError(f"need r <= n, got r={r}, n={n}")
+    if not math.isfinite(a):
+        raise InputError(f"a must be finite, got {a!r}")
     numerator, den = _poch_numerators(a, 1.0, n)
     lhs = sum((-1) ** s * math.comb(r, s) * numerator(s) for s in range(r + 1))
     lhs /= den * math.factorial(r)

@@ -16,8 +16,9 @@ n ~ 1000 never underflow intermediate arithmetic.  Panels split dyadically,
 driven by a two-halves error estimate, with a width cap on the saddle panel
 and geometric grading at the contour ends.  Refinement is level-wise: the
 halves of every panel of one depth are evaluated as one numpy batch (one
-f_phase and one g_amplitude call per level), and the accepted panels are
-summed in ascending phi, so results are deterministic.
+phase.contour_integrand call per level, which builds the quantities that
+f and g share once), and the accepted panels are summed in ascending phi,
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .phase import f_at_saddle, f_phase, g_amplitude, g_at_saddle, f_second_at_saddle
+from .numerics import DEAD_LOG
+from .phase import contour_integrand, f_at_saddle, g_at_saddle, f_second_at_saddle
 from .polys import Params
 
 __all__ = ["QuadResult", "integrate_interval", "integrate_moments",
@@ -41,8 +43,6 @@ _PI = math.pi
 _HALF_PI = 0.5 * math.pi
 _LOG2 = math.log(2.0)
 
-# exp() underflows to zero below this exponent; used to skip dead nodes
-_DEAD_LOG = -745.0
 # tanh-sinh step halvings after level 0 before integrate_interval gives up
 _MAX_LEVEL = 12
 
@@ -133,7 +133,7 @@ def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]]
         for i, km in zip(active, k_max):
             a, b = pairs[i]
             logw = a * log_1mx + b * log_1px + log_dxdt
-            masks.append((np.abs(ks) <= km) & (logw > _DEAD_LOG))
+            masks.append((np.abs(ks) <= km) & (logw > DEAD_LOG))
             logws.append(logw)
         wanted = np.logical_or.reduce(masks)
         fv = np.zeros(ks.size)
@@ -180,17 +180,13 @@ def _panel_sums(p: Params, n: int, theta: float, f0: complex,
                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """16-point Gauss-Legendre sums of exp(n (f - f0)) g over [lo, hi].
 
-    All nodes go to f_phase in one call.  Nodes whose exponential underflows
-    are zero and never reach exp or g_amplitude; a non-finite value raises.
+    All nodes go to contour_integrand in one call; nodes whose exponential
+    underflows are zero there, and a non-finite value raises here.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    phi = mid[:, None] + half[:, None] * _GL_NODES
-    w = n * (f_phase(p, theta, phi) - f0)
-    live = ~(w.real < _DEAD_LOG)  # NaN stays live and fails the check below
-    values = np.zeros(phi.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values[live] = np.exp(w[live]) * g_amplitude(p, theta, phi[live])
+    values = contour_integrand(p, theta, mid[:, None] + half[:, None] * _GL_NODES,
+                               n, f0)
     if not np.isfinite(values).all():
         raise ConvergenceError(
             "rodrigues_contour_eval: non-finite integrand value")
@@ -254,9 +250,9 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
                 f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
                 f"evaluations at tol {tol:.1e}")
         mid = 0.5 * (lo + hi)
-        left, right = np.split(_panel_sums(p, n, theta, f0,
-                                           np.concatenate([lo, mid]),
-                                           np.concatenate([mid, hi])), 2)
+        halves = _panel_sums(p, n, theta, f0, np.concatenate([lo, mid]),
+                             np.concatenate([mid, hi]))
+        left, right = halves[:lo.size], halves[lo.size:]
         evaluations += batch
         err = np.abs(left + right - parent)
         width = hi - lo

@@ -243,6 +243,8 @@ ARRAY_FORMS = {
     "g_amplitude": ("open", phase.g_amplitude),
     "t_modulus": ("open", phase.t_modulus),
     "f_prime": ("open", phase.f_prime),
+    "contour_integrand": ("open", lambda p, th, t: phase.contour_integrand(
+        p, th, t, 5, phase.f_at_saddle(p, th))),
     "d_of_phi": ("from_zero", lambda p, th, t: phase.d_of_phi(p.alpha, t)),
     "lambda_of_phi": ("open", lambda p, th, t: phase.lambda_of_phi(p.alpha, t)),
 }
@@ -512,8 +514,9 @@ class TestArrayForm:
             with pytest.raises(InputError, match="must lie in"):
                 fn(p, 1.0, angle)
 
-    @pytest.mark.parametrize("fn", [phase.f_phase, phase.g_amplitude])
-    def test_pole_raises_as_for_float(self, monkeypatch, fn):
+    @pytest.mark.parametrize("name", ["f_phase", "g_amplitude",
+                                      "contour_integrand"])
+    def test_pole_raises_as_for_float(self, monkeypatch, name):
         # xi(phi) never meets t(theta) for phi in (0, pi), so the pole is
         # planted: at alpha = 1, big = s(theta) and z = 0 make den exactly 0
         # at the node phi = 1.3 (the frame at theta itself stays untouched)
@@ -523,17 +526,49 @@ class TestArrayForm:
         root = phase.theta_major(1.0, theta)
 
         def at_pole(alpha, phi):
-            big, y, z, cy, upper = frame(alpha, phi)
+            fr = frame(alpha, phi)
             if phi[-1] == 1.3:
-                big[-1] = root * root  # s(theta) at alpha = 1
-                z[-1] = 0.0
-            return big, y, z, cy, upper
+                fr.big[-1] = root * root  # s(theta) at alpha = 1
+                fr.z[-1] = 0.0
+            return fr
 
         monkeypatch.setattr(phase, "_frame", at_pole)
+        fn = ARRAY_FORMS[name][1]
         for phi in (1.3, np.array([0.4, 1.3])):
             with pytest.raises(ValueError, match="pole hit") as exc:
                 fn(p, theta, phi)
             assert exc.type is ValueError
+
+
+class TestContourIntegrand:
+    def test_equals_exp_of_f_times_g(self):
+        # at every live node the kernel's value is the product of the public
+        # pieces, bit for bit; at every dead node it is exactly 0
+        rng = random.Random(29)
+        live_nodes = dead_nodes = 0
+        for _ in range(60):
+            p = Params(rng.choice([1.0, 2.0, 4.0, rng.uniform(0.3, 5.0)]),
+                       rng.uniform(-0.9, 2.0),
+                       rng.choice([rng.uniform(-0.9, 2.0), -0.999]))
+            theta = rng.choice([rng.uniform(0.05, 0.6), rng.uniform(0.6, 2.5),
+                                rng.uniform(2.5, PI - 0.05)])
+            n = rng.choice([1, 5, 40, 512, 4096])
+            f0 = phase.f_at_saddle(p, theta)
+            ends = [1e-12, 1e-9, 1e-6, PI - 1e-6, PI - 1e-9, PI - 1e-12]
+            phis = np.array(ends + [theta] + [rng.uniform(1e-12, PI - 1e-12)
+                                              for _ in range(41)]).reshape(6, 8)
+            values = phase.contour_integrand(p, theta, phis, n, f0)
+            w = n * (phase.f_phase(p, theta, phis) - f0)
+            live = ~(w.real < -745.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.exp(w[live]) * phase.g_amplitude(p, theta,
+                                                               phis[live])
+            assert values.shape == phis.shape
+            assert values[live].tobytes() == expected.tobytes()
+            assert (values[~live] == 0.0).all()
+            live_nodes += np.count_nonzero(live)
+            dead_nodes += np.count_nonzero(~live)
+        assert live_nodes > 0 and dead_nodes > 0
 
 
 class TestPhaseDerivative:

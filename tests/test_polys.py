@@ -389,3 +389,8 @@ class TestChuVandermonde:
     def test_bad_r(self):
         with pytest.raises(ValueError):
             chu_vandermonde_sides(3, 4, 0.0)
+
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_a_raises(self, a):
+        with pytest.raises(InputError, match="a must be finite"):
+            chu_vandermonde_sides(3, 1, a)

@@ -187,6 +187,37 @@ class TestSharedMoments:
             integrate_moments(lambda x: 1.0, [(0.0, 0.0), (0.0, -1.0)], 1e-10)
 
 
+# (alpha, a, b, n, theta, scaled) at tol 1e-9 with float.hex of the value and
+# the error estimate and the evaluation count: n from 1 to 4096, theta near
+# either end and inside, b near -1
+CONTOUR_PINS = [
+    (2.0, 0.5, -0.3, 1, 0.2, False,
+     "0x1.693a436de7552p-1", "0x1.3ece4423aaf89p-52", 2784),
+    (2.0, 0.5, -0.3, 8, PI / 3, False,
+     "-0x1.d7fb12aeaadd1p-10", "0x1.034dab8eeba7cp-58", 992),
+    (1.0, 0.0, 0.0, 3, 2.9, False,
+     "-0x1.a9fdab3fb3d0bp-1", "0x1.c96f3509782c6p-49", 1376),
+    (4.0, 1.2, -0.95, 5, 1.7, False,
+     "0x1.bef9097967126p-17", "0x1.53ce457518732p-61", 1184),
+    (0.7, -0.5, 1.2, 20, 0.35, True,
+     "0x1.03cfcb9d60e8dp-3", "0x1.52c5783d0e72ap-39", 992),
+    (2.0, 1.2, -0.5, 40, PI / 4, False,
+     "0x1.9d7dfa278abfcp-24", "0x1.e4f319f5385b1p-72", 1120),
+    (3.0, -0.8, -0.99, 64, 2.6, True,
+     "-0x1.dfa1c454e68a2p-6", "0x1.17e0d2653a880p-50", 1120),
+    (1.0, 0.3, 0.3, 128, 1.2, False,
+     "-0x1.2ddd352bbbf74p-4", "0x1.d1aa0508c5b5ep-52", 1312),
+    (2.0, 0.5, -0.3, 512, PI / 3, True,
+     "-0x1.df01c3e6f63afp-8", "0x1.4a7518c80e989p-50", 1376),
+    (0.5, 0.2, -0.9, 1024, 0.45, True,
+     "0x1.14409918cf0a1p-3", "0x1.724c297a3d0a7p-39", 1824),
+    (2.5, 1.7, 0.4, 2048, 3.0, True,
+     "0x1.05fc628084d98p-3", "0x1.4899e8a5b3731p-40", 1824),
+    (2.0, 0.5, -0.999, 4096, 2.2, True,
+     "0x1.85ec071efb98ep-8", "0x1.987a9a0ff9627p-49", 1632),
+]
+
+
 class TestContourRule:
     def test_alpha_one_reduces_to_classical(self):
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 6, PI / 3, 1e-10)
@@ -281,15 +312,15 @@ class TestContourRule:
     def test_evaluations_count_every_phase_call(self, monkeypatch,
                                                 alpha, a, b, n, theta):
         # the reported count is the whole integrand cost: every phi node
-        # that reaches f_phase, whether it arrives alone or in a batch
+        # that reaches the integrand, whether it arrives alone or in a batch
         nodes = [0]
-        inner = quadrature.f_phase
+        inner = quadrature.contour_integrand
 
-        def counted(p, theta, phi):
+        def counted(p, theta, phi, n, f0):
             nodes[0] += np.size(phi)
-            return inner(p, theta, phi)
+            return inner(p, theta, phi, n, f0)
 
-        monkeypatch.setattr(quadrature, "f_phase", counted)
+        monkeypatch.setattr(quadrature, "contour_integrand", counted)
         res = rodrigues_contour_eval(Params(alpha, a, b), n, theta, 1e-9)
         assert res.evaluations == nodes[0]
 
@@ -305,19 +336,32 @@ class TestContourRule:
     @pytest.mark.parametrize("bad", [complex(1e3, 0.0), complex(math.nan, 0.0)])
     def test_non_finite_integrand_raises(self, monkeypatch, bad):
         # numpy's exp returns inf/nan with a warning where cmath raised;
-        # the oracle must turn that into a typed error, not a number
-        inner = quadrature.f_phase
+        # the oracle must turn that into a typed error, not a number.  The
+        # bad value enters as f, before the exponential of the integrand.
+        inner = phase._f_values
 
-        def spoiled(p, theta, phi):
-            f = inner(p, theta, phi)
+        def spoiled(alpha, fr, den):
+            f = inner(alpha, fr, den)
             f.flat[f.size // 2] = bad
             return f
 
-        monkeypatch.setattr(quadrature, "f_phase", spoiled)
+        monkeypatch.setattr(phase, "_f_values", spoiled)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="non-finite"):
                 rodrigues_contour_eval(Params(2.0, 0.5, -0.3), 20, PI / 3, 1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha, a, b, n, theta, scaled, value, error_estimate, evaluations",
+        CONTOUR_PINS)
+    def test_pinned_results(self, alpha, a, b, n, theta, scaled, value,
+                            error_estimate, evaluations):
+        # value, estimate and count to the last bit: a change that moves the
+        # integrand's arithmetic or the panel set shows here
+        res = rodrigues_contour_eval(Params(alpha, a, b), n, theta, 1e-9,
+                                     scaled=scaled)
+        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) \
+            == (value, error_estimate, evaluations)
 
     def test_result_type(self):
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 4, 1.0, 1e-9)
