@@ -40,53 +40,34 @@ def complex_pow_principal(z: complex, p: float) -> complex:
     return cmath.exp(p * cmath.log(z))
 
 
-# levels of the bisection tree evaluated per call of f: 2^4 - 1 midpoints
-_BISECT_LEVELS = 4
-
-
-def find_root_bisect(f: Callable[[np.ndarray], np.ndarray], lo: float,
-                     hi: float, tol: float) -> float:
+def find_root_bisect(f: Callable[[float], float], lo: float, hi: float,
+                     tol: float) -> float:
     """Bisection root of a continuous f with f(lo), f(hi) of opposite sign.
 
     Returns the bracket midpoint once the bracket width is <= tol.  Fully
-    deterministic; no derivative estimates.  f takes an array of points and
-    returns an array of values: each call evaluates the midpoints of the
-    next few levels of the bisection tree at once, and the walk down the
-    tree then takes the same midpoints, one at a time, as plain bisection.
+    deterministic; no derivative estimates.
     """
     if not (lo < hi):
         raise ValueError("find_root_bisect: need lo < hi")
-    flo, fhi = f(np.array([lo, hi]))
+    flo = f(lo)
     if flo == 0.0:
         return lo
+    fhi = f(hi)
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError("find_root_bisect: f(lo) and f(hi) have the same sign")
     while hi - lo > tol:
-        # the midpoints of the subtree below [lo, hi] in heap order: node k
-        # has the children 2k+1 (left half) and 2k+2 (right half)
-        brackets, mids = [(lo, hi)], []
-        for k in range(2 ** _BISECT_LEVELS - 1):
-            left, right = brackets[k]
-            mid = 0.5 * (left + right)
-            mids.append(mid)
-            brackets += [(left, mid), (mid, right)]
-        fms = f(np.array(mids))
-        k = 0
-        for _ in range(_BISECT_LEVELS):
-            if not hi - lo > tol:
-                break
-            mid = mids[k]
-            if not (lo < mid < hi):
-                return 0.5 * (lo + hi)  # bracket exhausted at float resolution
-            fm = fms[k]
-            if fm == 0.0:
-                return mid
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo, k = mid, fm, 2 * k + 2
-            else:
-                hi, k = mid, 2 * k + 1
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break  # bracket exhausted at float resolution
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 

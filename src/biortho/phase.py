@@ -380,8 +380,6 @@ def contour_integrand(p: Params, theta: float, phi, n: int, f0: complex):
     w = n * (_f_values(p.alpha, fr, den) - f0)
     live = ~(w.real < DEAD_LOG)  # NaN stays live
     with np.errstate(over="ignore", invalid="ignore"):
-        if live.all():
-            return _like(np.exp(w) * _g_values(p, at, fr, e, den), phi)
         values = np.zeros(fr.phi.shape, dtype=complex)
         values[live] = np.exp(w[live]) * _g_values(
             p, at, _Frame(*(q[live] for q in fr)), e[live], den[live])
@@ -546,8 +544,8 @@ def phi_star(alpha: float, tol: float = 1e-12) -> float:
     pi produces sign noise, while d < 1 already holds far earlier.
     """
     alpha = _check_alpha(alpha)
-    return find_root_bisect(lambda t: _d_of_phi(alpha, t) - 1.0,
-                            1e-9, _PI - 1e-4, tol)
+    return find_root_bisect(lambda t: _d_of_phi(alpha, np.array([t])).item()
+                            - 1.0, 1e-9, _PI - 1e-4, tol)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ from biortho.numerics import (
     find_root_bisect,
     fit_loglog_slope,
 )
-from biortho import phase
-from biortho.polys import Params
 
 
 class TestComplexPow:
@@ -57,7 +54,7 @@ class TestBisect:
             pytest.approx(0.5, abs=1e-12)
 
     def test_cosine(self):
-        assert find_root_bisect(np.cos, 1.0, 2.0, 1e-12) == \
+        assert find_root_bisect(math.cos, 1.0, 2.0, 1e-12) == \
             pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_cube_root_of_two(self):
@@ -67,69 +64,6 @@ class TestBisect:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             find_root_bisect(lambda x: x + 10.0, 0.0, 1.0, 1e-12)
-
-    @staticmethod
-    def sequential(f, lo, hi, tol):
-        # plain bisection, one point per call of f: the reference whose
-        # midpoints and stops the batched walk must reproduce
-        flo = f(np.array([lo]))[0]
-        if flo == 0.0:
-            return lo
-        fhi = f(np.array([hi]))[0]
-        if fhi == 0.0:
-            return hi
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-            fm = f(np.array([mid]))[0]
-            if fm == 0.0:
-                return mid
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def test_bitwise_equal_to_sequential_bisection(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            lo, hi = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
-            # a root inside, at a bracket end, or at a midpoint of one of
-            # the first six levels, where f is exactly zero
-            left, right = lo, hi
-            for _ in range(rng.randrange(6)):
-                mid = 0.5 * (left + right)
-                left, right = (left, mid) if rng.random() < 0.5 else (mid, right)
-            root = rng.choice([rng.uniform(lo, hi), lo, hi, 0.5 * (left + right)])
-            k, sign = rng.uniform(0.1, 30.0), rng.choice([-1.0, 1.0])
-            tol = rng.choice([1e-3, 1e-9, 1e-13, 0.0])  # 0: until exhausted
-
-            def f(x):
-                return sign * (x - root) * (1.0 + 0.5 * np.sin(k * x))
-
-            assert find_root_bisect(f, lo, hi, tol).hex() == \
-                self.sequential(f, lo, hi, tol).hex()
-
-    def test_zero_on_an_interval_returns_the_first_midpoint_in_it(self):
-        def f(x):
-            return np.where(np.abs(x - 0.3) < 0.01, 0.0, x - 0.3)
-
-        root = find_root_bisect(f, 0.0, 1.0, 1e-12)
-        assert root == self.sequential(f, 0.0, 1.0, 1e-12)
-        assert abs(root - 0.3) < 0.01
-
-    def test_phase_roots_bitwise_equal_to_sequential_bisection(self):
-        rng = random.Random(19)
-        for _ in range(60):
-            p = Params(rng.uniform(0.3, 5.0), rng.uniform(-0.9, 2.0),
-                       rng.uniform(-0.9, 2.0))
-            x = rng.uniform(-0.999, 0.999)
-            assert phase.theta_of_x(p, x) == self.sequential(
-                lambda t: phase.x_of_theta(p, t) - x, 0.0, math.pi, 1e-12)
-            assert phase.phi_star(p.alpha) == self.sequential(
-                lambda t: phase.d_of_phi(p.alpha, t) - 1.0, 1e-9,
-                math.pi - 1e-4, 1e-12)
 
 
 class TestFiniteDifference:
