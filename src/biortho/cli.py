@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes, chosen by exception type: 0 success, 1 verification failure,
 2 usage, input or config error (InputError, OSError, argparse), 3 scope
-error (ScopeError: alpha < 1 asymptotics without --allow-unproven, or exact
-coefficients beyond the double range, where --method contour applies),
-4 numerical failure (ConvergenceError or any other ValueError).
+error (ScopeError: alpha < 1 asymptotics without --allow-unproven, exact
+coefficients beyond the double range, where --method contour applies, or a
+contour value beyond it), 4 numerical failure (ConvergenceError or any
+other ValueError).
 """
 
 from __future__ import annotations

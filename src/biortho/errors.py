@@ -11,7 +11,8 @@ class InputError(ValueError):
 
 class ScopeError(Exception):
     """Raised when an input lies outside a method's range: an asymptotic formula
-    outside its proven range, or exact coefficients beyond the double range."""
+    outside its proven range, or exact coefficients or a contour value beyond
+    the double range."""
 
 
 class ConvergenceError(RuntimeError):

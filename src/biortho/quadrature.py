@@ -1,24 +1,22 @@
-"""Two integration engines.
+"""Two double-exponential (tanh-sinh) integration engines.
 
-integrate_interval: double-exponential (tanh-sinh) rule on [-1, 1] for
-integrands f(x) * (1-x)^a * (1+x)^b with any a, b > -1.  The weight is
-applied internally in log space from the substitution variable, so the
-endpoint powers never underflow or lose digits even where x itself rounds
-to +-1.  integrate_moments runs the same rule for many (a, b) pairs on
-shared nodes: each level's (a, b)-free node parts are built once and f is
-evaluated once per abscissa, while every pair keeps its own sums and
-convergence test, so its result equals its own integrate_interval call.
+integrate_interval: the rule on [-1, 1] for integrands f(x) * (1-x)^a *
+(1+x)^b with any a, b > -1.  The weight is applied internally in log space
+from the substitution variable, so the endpoint powers never underflow or
+lose digits even where x itself rounds to +-1.  integrate_moments runs the
+same rule for many (a, b) pairs on shared nodes: each level's (a, b)-free
+node parts are built once and f is evaluated once per abscissa, while every
+pair keeps its own sums and convergence test, so its result equals its own
+integrate_interval call.
 
-rodrigues_contour_eval: adaptive composite Gauss-Legendre rule for the
-oscillatory contour integral representing the biorthogonal polynomial, with
-the dominant exponential factored out at the saddle so values like rho^n for
-n ~ 1000 never underflow intermediate arithmetic.  Panels split dyadically,
-driven by a two-halves error estimate, with a width cap on the saddle panel
-and geometric grading at the contour ends.  Refinement is level-wise: the
-halves of every panel of one depth are evaluated as one numpy batch (one
-phase.contour_integrand call per level, which builds the quantities that
-f and g share once), and the accepted panels are summed in ascending phi,
-so results are deterministic.
+rodrigues_contour_eval: the oscillatory contour integral representing the
+biorthogonal polynomial, with the dominant exponential factored out at the
+saddle so values like rho^n for n ~ 1000 never underflow intermediate
+arithmetic.  The saddle splits the contour into two halves whose ends hold
+the peak and the algebraic end behaviour, both of which the tanh-sinh map
+absorbs.  Each level's nodes of both halves go to phase.contour_integrand
+in one call, and the error estimate has a rounding floor, so it does not
+fall below what the integrand values themselves can resolve.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, ScopeError
 from .numerics import DEAD_LOG
 from .phase import contour_integrand, f_at_saddle, g_at_saddle, f_second_at_saddle
 from .polys import Params
@@ -167,31 +165,43 @@ def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]]
 # contour integral
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-_MAX_DEPTH = 42
-# Integrand evaluations allowed per call: over 10x the 6,112 that the
-# criterion-3 grid needs up to n = 4096.  Near x = 1 (theta -> 0) the panel
-# count grows without bound, e.g. at alpha = 2, n = 3, x = 0.9999999.
+# tanh-sinh parameter range of the contour rule: beyond |t| = 3.4 every
+# node is closer than _MIN_DISTANCE to its end, so the range never limits
+# the rule.
+_T_MAX = 6.5
+# Nodes closer than this to an end of their half are dropped: at phi ~ 1e-79
+# g evaluates 0 * inf, and the dropped tail is below 1e-20 times the
+# integrand's bound on the contour.
+_MIN_DISTANCE = 1e-20
+# Integrand evaluations allowed per call: checked before each level, it
+# turns a tolerance below the rounding floor into a typed error.
 _MAX_EVALUATIONS = 64_000
+_EPS = float(np.finfo(float).eps)
 
 
-def _panel_sums(p: Params, n: int, theta: float, f0: complex,
-                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """16-point Gauss-Legendre sums of exp(n (f - f0)) g over [lo, hi].
+def _contour_nodes(theta: float, h: float, odd: bool):
+    """Nodes phi and weights of one tanh-sinh level on [0, theta] and
+    [theta, pi], with the nodes too close to an end dropped.
 
-    All nodes go to contour_integrand in one call; nodes whose exponential
-    underflows are zero there, and a non-finite value raises here.
+    Each node is placed from its distance to the nearer end of its half,
+    r 2q/(1+q) with u = (pi/2) sinh t, q = e^{-2|u|} and r the half-length,
+    so no node lands on 0, theta or pi by rounding 1 - tanh u.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    values = contour_integrand(p, theta, mid[:, None] + half[:, None] * _GL_NODES,
-                               n, f0)
-    if not np.isfinite(values).all():
-        raise ConvergenceError(
-            "rodrigues_contour_eval: non-finite integrand value")
-    # summed node by node in order (cumsum), not pairwise
-    return np.cumsum(values * _GL_WEIGHTS, axis=1)[:, -1] * half
+    ks = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
+    t = h * (ks[ks % 2 != 0] if odd else ks)
+    u = _HALF_PI * np.sinh(t)
+    q = np.exp(-2.0 * np.abs(u))
+    unit_dist = 2.0 * q / (1.0 + q)
+    unit_weight = _HALF_PI * np.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+    phis, weights = [], []
+    for lo, hi in ((0.0, theta), (theta, _PI)):
+        r = 0.5 * (hi - lo)
+        dist = r * unit_dist
+        phi = np.where(t <= 0.0, lo + dist, hi - dist)
+        keep = (dist >= _MIN_DISTANCE) & (phi > 0.0) & (phi < _PI)
+        phis.append(phi[keep])
+        weights.append(r * unit_weight[keep])
+    return np.concatenate(phis), np.concatenate(weights)
 
 
 def rodrigues_contour_eval(p: Params, n: int, theta: float,
@@ -204,9 +214,11 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     tables finite for n in the hundreds where rho^n underflows.
 
     Requires n >= max(1 - (a+1)/alpha, -b) (integrand boundedness at the
-    branch points) and n >= 1.  Raises ConvergenceError when the panel errors
-    exceed their budget, when the next level would take the call over
-    _MAX_EVALUATIONS evaluations, or when an integrand value is not finite.
+    branch points) and n >= 1.  Raises ConvergenceError when the next level
+    would take the call over _MAX_EVALUATIONS evaluations (a tol below the
+    rounding floor ends there) or when an integrand value is not finite, and
+    ScopeError when scaled=False and rho^n or the value leaves the double
+    range.
     """
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
@@ -226,59 +238,37 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     # prior for the peak contribution: |g(theta)| times the Gaussian width
     gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(f2), 1e-12)))
     scale = abs(g_at_saddle(p, theta)) * min(gauss_width, _PI)
-    saddle_width = min(0.5, 0.75 / math.sqrt(n))
-    # Panels touching the contour ends see only algebraic decay of the
-    # integrand there ((pi-phi)^(n-1/2) is the worst case at b near -1), and
-    # two-halves estimates are blind to such edge behavior.  Grade them
-    # geometrically until the tail bound ~ width^(n+1/2) is below tolerance.
-    eps_edge = 1e-12
-    edge_width = min(0.05, max(tol ** (1.0 / (n + 0.5)), 32.0 * eps_edge))
+    # Rounding floor: each value has a relative error of about (n+1) eps (n
+    # from the exponent) times 1 + cond_scale / (pi - phi).  As phi -> pi,
+    # Re upper = cos y - big and Re den = big^alpha cos z - s are differences
+    # of numbers near 1, against |upper| >= sin y and |den| >= big^alpha sin z,
+    # of order (pi-phi)/(1+alpha) and alpha (pi-phi)/(1+alpha).
+    floor_factor = 2.0 * (n + 1) * _EPS
+    cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
 
-    # Breadth-first refinement: the frontier holds the panels of one depth
-    # with their whole-panel sums, and both halves of every frontier panel
-    # are evaluated as one batch.
-    lo = np.array([eps_edge, theta])
-    hi = np.array([theta, _PI - eps_edge])
-    parent = _panel_sums(p, n, theta, f0, lo, hi)
-    evaluations = lo.size * _GL_NODES.size
-    accepted = []  # (lo, left + right, err) of the panels kept, per level
-    depth = 0
-    while lo.size:
-        batch = 2 * lo.size * _GL_NODES.size
-        if evaluations + batch > _MAX_EVALUATIONS:
+    # The saddle splits the contour into [0, theta] and [theta, pi], which
+    # puts the peak of e^{n(f-f0)} at an end of each half.  Level 0 has
+    # h = 1; each later level halves h and adds the odd multiples.
+    total, l1_total, evaluations, h = 0j, 0.0, 0, 1.0
+    for level in itertools.count():
+        phi, weight = _contour_nodes(theta, h, level > 0)
+        if evaluations + phi.size > _MAX_EVALUATIONS:
             raise ConvergenceError(
                 f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
                 f"evaluations at tol {tol:.1e}")
-        mid = 0.5 * (lo + hi)
-        halves = _panel_sums(p, n, theta, f0, np.concatenate([lo, mid]),
-                             np.concatenate([mid, hi]))
-        left, right = halves[:lo.size], halves[lo.size:]
-        evaluations += batch
-        err = np.abs(left + right - parent)
-        width = hi - lo
-        contains_saddle = (lo <= theta) & (theta <= hi)
-        need_width = contains_saddle & (width > saddle_width)
-        at_edge = (lo <= eps_edge * 2.0) | (hi >= _PI - 2.0 * eps_edge)
-        need_edge = at_edge & (width > edge_width)
-        need_error = err > tol * scale * (width / _PI)
-        split = ((need_width | need_edge | need_error | (depth == 0))
-                 & (depth < _MAX_DEPTH))
-        keep = ~split
-        accepted.append((lo[keep], (left + right)[keep], err[keep]))
-        lo, hi, parent = (np.concatenate([lo[split], mid[split]]),
-                          np.concatenate([mid[split], hi[split]]),
-                          np.concatenate([left[split], right[split]]))
-        depth += 1
-
-    # sum the accepted panels in ascending phi, one after another
-    panel_lo, values, errors = (np.concatenate(c) for c in zip(*accepted))
-    order = np.argsort(panel_lo)
-    total = complex(np.cumsum(values[order])[-1])
-    err_total = float(np.cumsum(errors[order])[-1])
-    if err_total > 100.0 * tol * scale:
-        raise ConvergenceError(
-            f"rodrigues_contour_eval: accumulated panel error {err_total:.3e} "
-            f"exceeds budget at tol {tol:.1e}")
+        values = contour_integrand(p, theta, phi, n, f0)
+        if not np.isfinite(values).all():
+            raise ConvergenceError(
+                "rodrigues_contour_eval: non-finite integrand value")
+        evaluations += phi.size
+        contrib = weight * values
+        rounding = np.abs(contrib) * (1.0 + cond_scale / (_PI - phi))
+        prev, total = total, 0.5 * total + h * complex(np.sum(contrib))
+        l1_total = 0.5 * l1_total + h * float(np.sum(rounding))
+        err_total = max(abs(total - prev), floor_factor * l1_total)
+        if level and err_total <= tol * scale:
+            break
+        h *= 0.5
 
     # P_n = rho^n * Re{e^{i n theta} J / (pi i)} with J the scaled integral
     phase_factor = cmath.exp(1j * n * theta)
@@ -286,5 +276,13 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     scaled_err = err_total / _PI
     if scaled:
         return QuadResult(scaled_value, scaled_err, evaluations)
-    rho_n = math.exp(n * f0.real)
+    try:
+        rho_n = math.exp(n * f0.real)
+        if math.isinf(rho_n * scaled_value):
+            raise OverflowError
+    except OverflowError:
+        raise ScopeError(
+            f"rodrigues_contour_eval: rho^n = exp({n * f0.real:.4g}) takes the "
+            f"value beyond the double range; scaled=True gives P_n / rho^n"
+        ) from None
     return QuadResult(rho_n * scaled_value, rho_n * scaled_err, evaluations)

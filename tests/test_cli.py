@@ -78,7 +78,7 @@ class TestEval:
                            "--method", "contour")
         assert code == 0
         record = json.loads(out)
-        assert record["evaluations"] == 992
+        assert record["evaluations"] == 214
         assert record["error_estimate"] <= 1e-10 * abs(record["value"])
 
     def test_exact_accepts_theta(self, capsys):
@@ -108,13 +108,25 @@ class TestEval:
                   "--x", "0.1", "--method", "exact", "--jobs", "2"])
         assert exc.value.code == 2
 
-    def test_contour_budget_exit_four(self, capsys):
+    def test_contour_budget_exit_four(self, capsys, tmp_path):
+        # a contour_tol below the rounding floor runs into the cap
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("contour_tol = 1e-30\n")
         code, out, err = run(capsys, "eval", "--alpha", "2", "--a", "0",
-                             "--b", "0", "--n", "3", "--x", "0.9999999",
-                             "--method", "contour")
+                             "--b", "0", "--n", "3", "--x", "0.5",
+                             "--method", "contour", "--config", str(cfg))
         assert code == 4
         assert out == ""
         assert "integrand evaluations" in err
+
+    def test_contour_beyond_double_range_exit_three(self, capsys):
+        # rho^n overflows at alpha < 1; the scaled value would be finite
+        code, out, err = run(capsys, "eval", "--alpha", "0.5", "--a", "0.9",
+                             "--b", "-0.99", "--n", "4096", "--x", "-0.5",
+                             "--method", "contour")
+        assert code == 3
+        assert out == ""
+        assert "scaled=True" in err
 
     @pytest.mark.parametrize("exc, code", [
         (InputError("bad input"), 2),

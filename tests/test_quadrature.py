@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 import time
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biortho import phase, quadrature
-from biortho.errors import ConvergenceError
+from biortho.errors import ConvergenceError, ScopeError
 from biortho.polys import Params, eval_biortho, eval_biortho_grid, eval_jacobi_rep
 from biortho.quadrature import (
     QuadResult,
@@ -192,29 +193,29 @@ class TestSharedMoments:
 # either end and inside, b near -1
 CONTOUR_PINS = [
     (2.0, 0.5, -0.3, 1, 0.2, False,
-     "0x1.693a436de7552p-1", "0x1.3ece4423aaf89p-52", 2784),
+     "0x1.693a436de7552p-1", "0x1.2cc428f5cf438p-49", 425),
     (2.0, 0.5, -0.3, 8, PI / 3, False,
-     "-0x1.d7fb12aeaadd1p-10", "0x1.034dab8eeba7cp-58", 992),
+     "-0x1.d7fb12aeaadcbp-10", "0x1.0c308d2d00286p-53", 426),
     (1.0, 0.0, 0.0, 3, 2.9, False,
-     "-0x1.a9fdab3fb3d0bp-1", "0x1.c96f3509782c6p-49", 1376),
+     "-0x1.a9fdab3fb3d0dp-1", "0x1.1d6051fa9337bp-44", 424),
     (4.0, 1.2, -0.95, 5, 1.7, False,
-     "0x1.bef9097967126p-17", "0x1.53ce457518732p-61", 1184),
+     "0x1.bef90979670cbp-17", "0x1.8af75397b3052p-43", 214),
     (0.7, -0.5, 1.2, 20, 0.35, True,
-     "0x1.03cfcb9d60e8dp-3", "0x1.52c5783d0e72ap-39", 992),
+     "0x1.03cfcb9d60e92p-3", "0x1.14fa413cc60cbp-47", 849),
     (2.0, 1.2, -0.5, 40, PI / 4, False,
-     "0x1.9d7dfa278abfcp-24", "0x1.e4f319f5385b1p-72", 1120),
+     "0x1.9d7dfa278abd3p-24", "0x1.ea68ba849f5c2p-61", 425),
     (3.0, -0.8, -0.99, 64, 2.6, True,
-     "-0x1.dfa1c454e68a2p-6", "0x1.17e0d2653a880p-50", 1120),
+     "-0x1.dfa1c454e68bdp-6", "0x1.34a9abcde9ebap-46", 850),
     (1.0, 0.3, 0.3, 128, 1.2, False,
-     "-0x1.2ddd352bbbf74p-4", "0x1.d1aa0508c5b5ep-52", 1312),
+     "-0x1.2ddd352bbbf72p-4", "0x1.845230c731cbdp-43", 426),
     (2.0, 0.5, -0.3, 512, PI / 3, True,
-     "-0x1.df01c3e6f63afp-8", "0x1.4a7518c80e989p-50", 1376),
+     "-0x1.df01c3e6f6512p-8", "0x1.c76f7dbd88e6ap-46", 852),
     (0.5, 0.2, -0.9, 1024, 0.45, True,
-     "0x1.14409918cf0a1p-3", "0x1.724c297a3d0a7p-39", 1824),
+     "0x1.14409918ceef8p-3", "0x1.f3255bdfa8340p-42", 3401),
     (2.5, 1.7, 0.4, 2048, 3.0, True,
-     "0x1.05fc628084d98p-3", "0x1.4899e8a5b3731p-40", 1824),
+     "0x1.05fc6280850a6p-3", "0x1.982f26ea8e946p-37", 3386),
     (2.0, 0.5, -0.999, 4096, 2.2, True,
-     "0x1.85ec071efb98ep-8", "0x1.987a9a0ff9627p-49", 1632),
+     "0x1.85ec071efb2e2p-8", "0x1.0fd9cf14f264cp-41", 852),
 ]
 
 
@@ -292,18 +293,19 @@ class TestContourRule:
             assert counts[n] <= (n / (n // 2)) * counts[n // 2]
 
     def test_evaluation_cap(self):
-        # near x = 1 the panel count grows without bound; the cap turns an
-        # endless run into a typed error within seconds
+        # a tolerance below the rounding floor can never be met: the
+        # evaluation cap turns the endless refinement into a typed error
+        # within seconds, where a bare level difference of exactly 0 would
+        # have reported convergence
         p = Params(2.0, 0.0, 0.0)
-        theta = phase.theta_of_x(p, 0.9999999)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="integrand evaluations"):
-            rodrigues_contour_eval(p, 3, theta, 1e-10)
+            rodrigues_contour_eval(p, 3, 1.0, 1e-30)
         assert time.perf_counter() - start < 30.0
-        # three decades farther from x = 1 the same call converges
-        x = 0.9999
-        res = rodrigues_contour_eval(p, 3, phase.theta_of_x(p, x), 1e-10)
-        assert res.value == pytest.approx(eval_biortho(p, 3, x).value, rel=1e-8)
+        # the same call at a reachable tolerance converges
+        res = rodrigues_contour_eval(p, 3, 1.0, 1e-10)
+        ref = eval_biortho(p, 3, phase.x_of_theta(p, 1.0)).value
+        assert abs(res.value - ref) <= res.error_estimate
 
     @pytest.mark.parametrize("alpha, a, b, n, theta", [
         (2.0, 1.2, -0.5, 20, PI / 4),  # a criterion-3 point
@@ -325,10 +327,10 @@ class TestContourRule:
         assert res.evaluations == nodes[0]
 
     @pytest.mark.parametrize("n, evaluations", [
-        (64, 1248), (512, 1376), (4096, 1632),
+        (64, 426), (512, 852), (4096, 852),
     ])
     def test_evaluation_counts(self, n, evaluations):
-        # the panel set of the split rule, pinned by its node count
+        # the levels the tanh-sinh rule runs, pinned by its node count
         res = rodrigues_contour_eval(Params(2.0, 0.5, -0.3), n, PI / 3, 1e-9,
                                      scaled=True)
         assert res.evaluations == evaluations
@@ -367,3 +369,86 @@ class TestContourRule:
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 4, 1.0, 1e-9)
         assert isinstance(res, QuadResult)
         assert res.error_estimate >= 0.0
+
+
+def assert_within_estimate(p, n, theta, tol):
+    """The contour value agrees with the double sum within its estimate."""
+    res = rodrigues_contour_eval(p, n, theta, tol)
+    ref = eval_biortho(p, n, phase.x_of_theta(p, theta))
+    assert ref.condition_estimate < 1e3
+    assert abs(res.value - ref.value) <= res.error_estimate, \
+        (res, ref.value)
+    return res
+
+
+# (alpha, n) at a = b = 0, evaluated 1e-7 from x = +-1
+NEAR_END_CASES = [(2.0, 3), (2.0, 20), (1.5, 1), (1.0, 20), (4.0, 20)]
+
+
+class TestContourAccuracy:
+    """Inputs near x = +-1 and at b near -1, where the end behaviour of the
+    integrand dominates, and the error estimate against the double sum."""
+
+    @pytest.mark.parametrize("a, b, theta", [
+        (0.5, -0.9, 1.2), (0.5, -0.95, 1.2), (0.5, -0.99, 1.2),
+        (1.26, -0.99, 1.19),
+    ])
+    def test_b_near_minus_one(self, a, b, theta):
+        # the end behaviour (pi - phi)^(n+b) is what the double-exponential
+        # map absorbs, in a few hundred evaluations
+        res = assert_within_estimate(Params(2.0, a, b), 1, theta, 1e-10)
+        assert res.evaluations <= 500
+
+    @pytest.mark.parametrize("alpha, n", NEAR_END_CASES)
+    def test_near_x_plus_one(self, alpha, n):
+        # theta ~ 1e-6..4e-4: the [0, theta] half is tiny
+        p = Params(alpha, 0.0, 0.0)
+        theta = phase.theta_of_x(p, 1.0 - 1e-7)
+        assert_within_estimate(p, n, theta, 1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10])
+    @pytest.mark.parametrize("alpha, n", NEAR_END_CASES)
+    def test_near_x_minus_one(self, alpha, n, tol):
+        # the integrand loses digits as phi -> pi (cos y - big and den
+        # cancel there); the rounding floor counts that loss, so the call
+        # returns a value its estimate covers or raises, never a value
+        # with an understated estimate
+        p = Params(alpha, 0.0, 0.0)
+        theta = phase.theta_of_x(p, -(1.0 - 1e-7))
+        try:
+            assert_within_estimate(p, n, theta, tol)
+        except ConvergenceError:
+            pass
+
+    def test_estimate_covers_error(self):
+        # a seeded sample of the criterion-3 grid: the reported estimate
+        # bounds the distance to the double sum with a factor-2 margin
+        rng = random.Random(3)
+        points = []
+        for alpha, a, b in itertools.product((1.0, 2.0, 4.0), (-0.5, 0.0, 1.2),
+                                             (-0.5, 0.0, 1.2)):
+            n_min = max(1, math.ceil(max(1.0 - (a + 1.0) / alpha, -b)))
+            points += [(Params(alpha, a, b), n, theta)
+                       for theta in (PI / 4, PI / 2, 3 * PI / 4)
+                       for n in range(n_min, 41)]
+        checked = 0
+        for p, n, theta in rng.sample(points, 260):
+            x = phase.x_of_theta(p, theta)
+            ref = eval_biortho(p, n, x)
+            if ref.condition_estimate > 1e9:
+                continue
+            res = rodrigues_contour_eval(p, n, theta, 1e-9)
+            assert abs(res.value - ref.value) <= 2.0 * res.error_estimate, \
+                (p, n, theta, res, ref.value)
+            checked += 1
+        assert checked >= 200
+
+    def test_unscaled_overflow_is_scope_error(self):
+        # rho > 1 at alpha < 1: rho^n leaves the double range, while the
+        # scaled value is an ordinary number
+        p = Params(0.5, 0.9, -0.99)
+        theta = phase.theta_of_x(p, -0.5)
+        scaled = rodrigues_contour_eval(p, 4096, theta, 1e-10, scaled=True)
+        assert math.isfinite(scaled.value)
+        with pytest.raises(ScopeError, match="scaled=True"):
+            rodrigues_contour_eval(p, 4096, theta, 1e-10)
