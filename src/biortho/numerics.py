@@ -160,6 +160,11 @@ def dd_mul(xh, xl, yh, yl):
 
 
 def dd_div(xh, xl, yh, yl):
+    """x / y from the double quotient and one remainder step.  To first
+    order in u = 2^-53 its relative error is at most 9u^2 = 2.25 * 2^-104
+    (the remainder's roundings, dividing it by yh alone, and rounding the
+    correction); on the ratios (1-|x|)/(1+|x|) the polynomial evaluators
+    form, the largest seen is about 2^-104."""
     q1 = xh / yh
     th, te = _dd_two_prod(q1, yh)
     # remainder x - q1*y evaluated in double-double
@@ -167,6 +172,18 @@ def dd_div(xh, xl, yh, yl):
     q2 = (rh + rl) / yh
     s = q1 + q2
     return s, q2 - (s - q1)
+
+
+def dd_pow(h, l, n: int):
+    """(h + l)^n by repeated squaring: n - 1 products' worth of error."""
+    ph, pl = np.ones_like(h), np.zeros_like(h)
+    while n:
+        if n & 1:
+            ph, pl = dd_mul(ph, pl, h, l)
+        n >>= 1
+        if n:
+            h, l = dd_mul(h, l, h, l)
+    return ph, pl
 
 
 def dd_sum(hs: np.ndarray, ls: np.ndarray):

@@ -8,13 +8,12 @@ normalization is fixed by the value at x = 1.
 The alternating sums cancel violently (the condition number grows roughly
 like the inverse n-th power of the sine ratio at interior points, and much
 faster for large exponents near x = -1), so each coefficient of either sum is
-computed once per (alpha, a, b, n) as an exact integer ratio (floats are
-dyadic), rounded once to double-double by _round_dd (ScopeError from 2^996 on),
-and only the outer Bernstein sum in x, shared by both families, rounds: it runs
-in double-double.  Only x = 1 short-circuits, to the correctly rounded
-normalization.  The condition estimate is that of the outer sum (largest
-|term| over |value|); its relative error is about 2n(n+1) 2^-104 times it, and
-values with condition_estimate > 1e12 are reported as unreliable.
+an exact integer ratio (floats are dyadic), computed once per (alpha, a, b, n)
+and rounded once to double-double by _round_dd (ScopeError from 2^996 on).
+Only the outer sum in u = (1-x)/2, w = (1+x)/2 rounds: one double-double
+Horner pass in t = min(u, w)/max(u, w) times max(u, w)^n (_horner_dd), whose
+condition (largest |term| over |value|) times 3n(n+2) 2^-104 bounds its
+relative error.  x = 1 short-circuits to the correctly rounded normalization.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .numerics import dd_mul, dd_sum, dd_two_sum
+from .numerics import dd_add, dd_div, dd_mul, dd_pow, dd_two_sum
 
 __all__ = [
     "Params",
     "EvalResult",
-    "RELIABLE_CONDITION",
     "eval_biortho",
     "eval_biortho_grid",
     "eval_jacobi_rep",
@@ -45,7 +43,7 @@ __all__ = [
     "chu_vandermonde_sides",
 ]
 
-RELIABLE_CONDITION = 1e12
+_RELIABLE_ERROR = 2.0 ** -50  # eight units of the final rounding 2^-53
 # C(n, n//2) exceeds the double range from n = 1030 on, so no table of a
 # higher degree can be rounded
 _MAX_DEGREE = 1029
@@ -72,14 +70,16 @@ class Params:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a polynomial sum plus cancellation diagnostics."""
+    """Value of a polynomial sum, the outer sum's condition estimate, and the
+    relative error bound beyond rounding; reliable when that is <= 2^-50."""
 
     value: float
     condition_estimate: float
+    error_bound: float
 
     @property
     def reliable(self) -> bool:
-        return self.condition_estimate <= RELIABLE_CONDITION
+        return self.error_bound <= _RELIABLE_ERROR
 
 
 def _validate_degree(n: int) -> int:
@@ -221,39 +221,38 @@ def _jacobi_table(a: float, b: float, n: int):
     return t_h, t_l
 
 
-def _dd_halves(xs: np.ndarray):
-    """(1-x)/2 and (1+x)/2 as exact double-double pairs."""
-    p1_h, p1_l = dd_two_sum(1.0, -xs)
-    p2_h, p2_l = dd_two_sum(1.0, xs)
-    return 0.5 * p1_h, 0.5 * p1_l, 0.5 * p2_h, 0.5 * p2_l
-
-
-def _dd_power_ladder(h, l, n: int, m: int):
-    """Powers 0..n of a double-double array of length m, shape (n+1, m)."""
-    ph = np.empty((n + 1, m))
-    pl = np.empty((n + 1, m))
-    ph[0] = 1.0
-    pl[0] = 0.0
+def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
+    """Double-double sum_r coef[r] u^r w^(n-r), u = (1-x)/2, w = (1+x)/2,
+    and its condition: largest |term| over |value| (inf at a zero value,
+    never below 1).  It is base^n sum_j c_j t^j with base = max(u, w) =
+    (1+|x|)/2 and t = min(u, w)/base in [0, 1]: c_j = coef[j] for x >= 0,
+    coef[n-j] for x < 0, one Horner pass for both orders.  The largest term
+    is tracked in floats for its index only (float powers drift by j ulps at
+    power j), then formed as |c_j| t_h^j (1 + j t_l/t_h).  First order in
+    u = 2^-53, term j carries its coefficient's rounding (u^2) and j times
+    t's error (9u^2), and passes j products (8u^2) and j + 1 sums (3u^2 of
+    the operands): (10n^2 + 14n + 1) u^2 cond over all terms, plus 8n u^2
+    from base^n and the last product, below 3n(n+2) 2^-104 cond.
+    """
+    flip = xs < 0.0
+    base_h, base_l = dd_two_sum(1.0, np.abs(xs))  # 1 +- |x| are exact
+    t_h, t_l = dd_div(*dd_two_sum(1.0, -np.abs(xs)), base_h, base_l)
+    # each point's coefficient index: n down to 0, or 0 up to n for x < 0
+    r, step = np.where(flip, 0, n), np.where(flip, 1, -1)
+    acc_h, acc_l = coef_h[r], coef_l[r]
+    mags = np.abs(coef_h)
+    peak, top = mags[r], np.zeros(xs.shape, dtype=int)
     for k in range(1, n + 1):
-        ph[k], pl[k] = dd_mul(ph[k - 1], pl[k - 1], h, l)
-    return ph, pl
-
-
-def _bernstein_dd_sum(coef_h, coef_l, n: int, xs: np.ndarray):
-    """Double-double sum_r coef[r] ((1-x)/2)^r ((1+x)/2)^(n-r), with its
-    condition: the largest |term| over |value|, infinite at a zero value and
-    never below 1.  The relative error is about 2n(n+1) 2^-104 times that."""
-    m = xs.size
-    p1h, p1l, p2h, p2l = _dd_halves(xs)
-    pow1h, pow1l = _dd_power_ladder(p1h, p1l, n, m)
-    pow2h, pow2l = _dd_power_ladder(p2h, p2l, n, m)
-    th, tl = dd_mul(coef_h[:, None], coef_l[:, None], pow1h, pow1l)
-    th, tl = dd_mul(th, tl, pow2h[::-1], pow2l[::-1])
-    sum_h, sum_l = dd_sum(th, tl)
-    values = sum_h + sum_l
-    peak = np.max(np.abs(th), axis=0)
+        r = r + step
+        acc_h, acc_l = dd_add(*dd_mul(acc_h, acc_l, t_h, t_l), coef_h[r], coef_l[r])
+        peak, mag = peak * t_h, mags[r]
+        top[mag > peak] = k
+        peak = np.maximum(peak, mag)
+    j, rel_l = n - top, np.divide(t_l, t_h, out=np.zeros_like(t_h), where=t_h > 0.0)
+    peak = mags[np.where(flip, top, j)] * t_h ** j * (1.0 + j * rel_l)
+    values = np.add(*dd_mul(acc_h, acc_l, *dd_pow(0.5 * base_h, 0.5 * base_l, n)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = np.where(values != 0.0, peak / np.abs(values), np.inf)
+        cond = np.where(values != 0.0, peak / np.abs(acc_h + acc_l), np.inf)
     return values, np.maximum(cond, 1.0)
 
 
@@ -263,7 +262,7 @@ def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.abs(xs) <= 1.0):  # also rejects NaN
         raise InputError("eval_biortho requires |x| <= 1")
-    return _bernstein_dd_sum(*_biortho_table(p.alpha, p.a, p.b, n), n, xs)
+    return _horner_dd(*_biortho_table(p.alpha, p.a, p.b, n), n, xs)
 
 
 def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
@@ -277,9 +276,10 @@ def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
     if not abs(x) <= 1.0:  # also rejects NaN
         raise InputError(f"eval_biortho requires |x| <= 1, got {x!r}")
     if x == 1.0:
-        return EvalResult(normalization_at_one(p, n), 1.0)
+        return EvalResult(normalization_at_one(p, n), 1.0, 0.0)
     values, cond = eval_biortho_grid(p, n, np.array([x]))
-    return EvalResult(float(values[0]), float(cond[0]))
+    cond = float(cond[0])
+    return EvalResult(float(values[0]), cond, 3 * n * (n + 2) * 2.0 ** -104 * cond)
 
 
 def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
@@ -288,7 +288,7 @@ def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndar
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
         raise InputError("jacobi parameters require finite a, b > -1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _bernstein_dd_sum(*_jacobi_table(a, b, n), n, xs)
+    return _horner_dd(*_jacobi_table(a, b, n), n, xs)
 
 
 def eval_jacobi_rep(a: float, b: float, n: int, x: float) -> float:

@@ -25,6 +25,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -165,10 +166,11 @@ def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]]
 # contour integral
 # ---------------------------------------------------------------------------
 
-# tanh-sinh parameter range of the contour rule: beyond |t| = 3.4 every
-# node is closer than _MIN_DISTANCE to its end, so the range never limits
-# the rule.
-_T_MAX = 6.5
+# tanh-sinh parameter range of the contour rule: a half is at most pi/2
+# long, so beyond |t| = 3.404 (where r 2q/(1+q) = 1e-20 at r = pi/2; at
+# t = 3.4 the node lies 1.2e-20 from its end) every node is closer than
+# _MIN_DISTANCE to its end, and the range never limits the rule.
+_T_MAX = 3.5
 # Nodes closer than this to an end of their half are dropped: at phi ~ 1e-79
 # g evaluates 0 * inf, and the dropped tail is below 1e-20 times the
 # integrand's bound on the contour.
@@ -179,20 +181,32 @@ _MAX_EVALUATIONS = 64_000
 _EPS = float(np.finfo(float).eps)
 
 
-def _contour_nodes(theta: float, h: float, odd: bool):
-    """Nodes phi and weights of one tanh-sinh level on [0, theta] and
-    [theta, pi], with the nodes too close to an end dropped.
-
-    Each node is placed from its distance to the nearer end of its half,
-    r 2q/(1+q) with u = (pi/2) sinh t, q = e^{-2|u|} and r the half-length,
-    so no node lands on 0, theta or pi by rounding 1 - tanh u.
-    """
+@lru_cache(maxsize=None)
+def _unit_level(level: int):
+    """Read-only theta-free parts of a tanh-sinh level (h = 2^-level, odd
+    multiples after level 0): t, unit distance 2q/(1+q) and unit weight,
+    with u = (pi/2) sinh t and q = e^{-2|u|}."""
+    h = 2.0 ** -level
     ks = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
-    t = h * (ks[ks % 2 != 0] if odd else ks)
+    t = h * (ks[ks % 2 != 0] if level else ks)
     u = _HALF_PI * np.sinh(t)
     q = np.exp(-2.0 * np.abs(u))
     unit_dist = 2.0 * q / (1.0 + q)
     unit_weight = _HALF_PI * np.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+    for part in (t, unit_dist, unit_weight):
+        part.setflags(write=False)
+    return t, unit_dist, unit_weight
+
+
+def _contour_nodes(theta: float, level: int):
+    """Nodes phi and weights of one tanh-sinh level on [0, theta] and
+    [theta, pi], with the nodes too close to an end dropped.
+
+    Each node is placed from its distance to the nearer end of its half,
+    r 2q/(1+q) with r the half-length, so no node lands on 0, theta or pi
+    by rounding 1 - tanh u.
+    """
+    t, unit_dist, unit_weight = _unit_level(level)
     phis, weights = [], []
     for lo, hi in ((0.0, theta), (theta, _PI)):
         r = 0.5 * (hi - lo)
@@ -251,7 +265,7 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     # h = 1; each later level halves h and adds the odd multiples.
     total, l1_total, evaluations, h = 0j, 0.0, 0, 1.0
     for level in itertools.count():
-        phi, weight = _contour_nodes(theta, h, level > 0)
+        phi, weight = _contour_nodes(theta, level)
         if evaluations + phi.size > _MAX_EVALUATIONS:
             raise ConvergenceError(
                 f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "

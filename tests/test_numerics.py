@@ -11,6 +11,7 @@ from biortho.numerics import (
     dd_div,
     dd_mul,
     dd_sum,
+    dd_two_sum,
     fd_derivative,
     find_root_bisect,
     fit_loglog_slope,
@@ -115,10 +116,27 @@ class TestDoubleDouble:
         assert h + l == pytest.approx(exact, abs=1e-32)
         assert l != 0.0
 
-    def test_div_roundtrip(self):
-        h, l = dd_div(1.0, 0.0, 3.0, 0.0)
-        back_h, back_l = dd_mul(h, l, 3.0, 0.0)
-        assert abs((back_h - 1.0) + back_l) < 1e-31
+    def test_div_within_its_bound(self):
+        # the ratios t = (1-|x|)/(1+|x|) of the polynomial evaluators, with
+        # x across [0, 1], near 1 and near 0, against exact rationals
+        from fractions import Fraction
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([
+            rng.uniform(0.0, 1.0, 2000),
+            1.0 - 10.0 ** -rng.uniform(0.0, 15.9, 1000),
+            10.0 ** -rng.uniform(0.0, 300.0, 500),
+            [0.0, 1.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5]])
+        th, tl = dd_div(*dd_two_sum(1.0, -xs), *dd_two_sum(1.0, xs))
+        assert np.all(np.abs(tl) <= np.spacing(th) / 2)  # normalized
+        worst = 0.0
+        for x, h, l in zip(xs, th, tl):
+            exact = (1 - Fraction(float(x))) / (1 + Fraction(float(x)))
+            if exact == 0:
+                assert h == l == 0.0
+                continue
+            rel = abs(Fraction(float(h)) + Fraction(float(l)) - exact) / exact
+            worst = max(worst, float(rel))
+        assert worst <= 2.25 * 2.0 ** -104
 
     def test_vector_sum_cancellation(self):
         hs = np.array([1e16, 1.0, -1e16, 1e-8])

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import warnings
@@ -191,9 +192,11 @@ class TestBiorthoTable:
         assert np.all(np.isfinite(values))
 
 
-def _exact_bernstein_value(alpha, a, b, n, x):
-    """P_n(x) as an exact rational for a float x, from the integers of
-    _poch_numerators: A[s] = N(s)/den_a and B[r] = Poch(n-r+b+1, r)/r!."""
+@functools.lru_cache(maxsize=None)
+def _exact_coefficients(alpha, a, b, n):
+    """coef(r) of the outer sum as integers over one common denominator,
+    from the integers of _poch_numerators: A[s] = N(s)/den_a and
+    B[r] = Poch(n-r+b+1, r)/r!."""
     numerator, den_a = polys._poch_numerators(a, alpha, n)
     big_n = [numerator(s) for s in range(n + 1)]
     tops, bots = [], []
@@ -203,13 +206,24 @@ def _exact_bernstein_value(alpha, a, b, n, x):
         tops.append(num_b(n - r) * inner)
         bots.append(den_b * den_a)
     den = math.lcm(*bots)
+    return [t * (den // d) for t, d in zip(tops, bots)], den
+
+
+def _exact_bernstein_terms(alpha, a, b, n, x):
+    """The terms coef(r) ((1-x)/2)^r ((1+x)/2)^(n-r) of P_n(x) for a float
+    x, as integers over one common denominator."""
+    tops, den = _exact_coefficients(alpha, a, b, n)
     # (1-x)/2 = u/2^k and (1+x)/2 = v/2^k are exact dyadics
     u, v = Fraction(1 - Fraction(x), 2), Fraction(1 + Fraction(x), 2)
     scale = math.lcm(u.denominator, v.denominator)
     u, v = int(u * scale), int(v * scale)
-    total = sum(t * (den // d) * u ** r * v ** (n - r)
-                for r, (t, d) in enumerate(zip(tops, bots)))
-    return Fraction(total, den * scale ** n)
+    return [t * u ** r * v ** (n - r) for r, t in enumerate(tops)], den * scale ** n
+
+
+def _exact_bernstein_value(alpha, a, b, n, x):
+    """P_n(x) as an exact rational for a float x."""
+    terms, den = _exact_bernstein_terms(alpha, a, b, n, x)
+    return Fraction(sum(terms), den)
 
 
 class TestAccuracyModel:
@@ -227,22 +241,31 @@ class TestAccuracyModel:
             assert cond.tobytes() == ref_cond.tobytes(), (a, b, n)
 
     def test_reliable_where_the_outer_sum_is_accurate(self):
-        # at theta = pi/2 the value agrees with the contour oracle to 2e-16 at
-        # n = 20 (outer-sum condition 5.4e5) and is off by 0.19 at n = 100
-        # (condition 4.9e31)
+        # at theta = pi/2 the value is within 1e-16 of the exact one at n = 40
+        # (outer-sum condition 1.4e12, error bound 3.4e-16) and off by 0.18
+        # at n = 100 (condition 4.9e31)
         p = Params(2.0, 0.5, -0.3)
         x = x_of_theta(p, math.pi / 2)
-        assert eval_biortho(p, 20, x).reliable
+        for n in (20, 40):
+            res = eval_biortho(p, n, x)
+            assert res.error_bound == 3 * n * (n + 2) * 2.0 ** -104 * res.condition_estimate
+            assert res.reliable
+        assert eval_biortho(p, 40, x).condition_estimate > 1e12
         assert not eval_biortho(p, 100, x).reliable
 
     def test_error_within_the_outer_sum_bound(self):
         rng = np.random.default_rng(5)
-        checked = 0
-        for _ in range(60):
+        checked = {"interior": 0, "large n, near +-1": 0}
+        draws = [("interior", 1, 121, lambda: rng.uniform(-1.0, 1.0, size=3))] * 60 + [
+            ("large n, near +-1", 121, 241, lambda: np.concatenate([
+                rng.uniform(-1.0, 1.0, size=1),
+                rng.choice([-1.0, 1.0], size=2)
+                * (1.0 - 10.0 ** -rng.uniform(1.0, 15.0, size=2))]))] * 20
+        for group, low, high, draw_xs in draws:
             alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0, 0.7, 1.3, 2.9]))
             a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
-            n = int(rng.integers(1, 121))
-            xs = rng.uniform(-1.0, 1.0, size=3)
+            n = int(rng.integers(low, high))
+            xs = draw_xs()
             try:
                 values, cond = eval_biortho_grid(Params(alpha, a, b), n, xs)
             except ScopeError:
@@ -254,8 +277,105 @@ class TestAccuracyModel:
                 exact = _exact_bernstein_value(alpha, a, b, n, float(x))
                 rel = abs(Fraction(float(value)) - exact) / abs(exact)
                 assert rel <= bound + 2.0 ** -52, (alpha, a, b, n, x, float(rel))
+                checked[group] += 1
+        assert checked["interior"] >= 150
+        assert checked["large n, near +-1"] >= 30
+
+
+# x = 0 (u = w, t = 1), x = +-1 (t = 0) and x within 1e-12 of +-1 on
+# either side of the Horner order
+BRANCH_XS = (0.0, -0.0, 1.0, -1.0, 1.0 - 1e-12, -1.0 + 1e-12, 1.0 - 2.0 ** -53,
+             -1.0 + 2.0 ** -53)
+
+
+class TestHornerKernel:
+    """The Horner pass in t = min(u, w)/max(u, w) at the points where it
+    branches: the order of the coefficients, t = 0 and t = 1."""
+
+    @staticmethod
+    def assert_matches_exact(alpha, a, b, n, xs, values, cond):
+        """Where cond < 1e6, the value is within 1 ulp of the exact sum and
+        cond within 4 ulps of the exact largest-term ratio; returns the
+        number of points checked."""
+        checked = 0
+        for x, value, c in zip(xs, values, cond):
+            terms, den = _exact_bernstein_terms(alpha, a, b, n, float(x))
+            total = sum(terms)
+            if total == 0 or not c < 1e6:
+                continue
+            exact = Fraction(total, den)
+            assert abs(Fraction(float(value)) - exact) <= Fraction(
+                float(np.spacing(abs(float(exact))))), (alpha, a, b, n, x)
+            ratio = max(Fraction(max(abs(t) for t in terms), abs(total)), 1)
+            assert abs(Fraction(float(c)) - ratio) <= 4 * Fraction(
+                float(np.spacing(float(ratio)))), (alpha, a, b, n, x)
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("alpha, a, b, n", [
+        (2.0, 0.5, -0.3, 1), (2.0, 0.5, -0.3, 7), (2.0, 0.5, -0.3, 40),
+        (1.0, 0.3, 0.3, 10), (0.7, 1.25, -0.5, 33), (4.0, -0.5, 1.25, 120),
+    ])
+    def test_branch_points(self, alpha, a, b, n):
+        # one point at a time, then all of them in one grid with interior
+        # points of both signs: each point takes its own order
+        p = Params(alpha, a, b)
+        xs = np.array(BRANCH_XS + (-0.7, -0.2, 0.05, 0.6, 0.97))
+        values, cond = eval_biortho_grid(p, n, xs)
+        assert self.assert_matches_exact(alpha, a, b, n, xs, values, cond) >= 7
+        for i, x in enumerate(xs):
+            one_value, one_cond = eval_biortho_grid(p, n, [x])
+            assert one_value.tobytes() == values[i:i + 1].tobytes(), x
+            assert one_cond.tobytes() == cond[i:i + 1].tobytes(), x
+
+    def test_endpoints_take_one_coefficient(self):
+        # t = 0 leaves coef[0] at x = 1 and coef[n] at x = -1, exactly
+        coef_h, _ = polys._biortho_table(2.3, 0.3, -0.5, 25)
+        values, cond = eval_biortho_grid(Params(2.3, 0.3, -0.5), 25, [1.0, -1.0])
+        assert values.tolist() == [coef_h[0], coef_h[-1]]
+        assert cond.tolist() == [1.0, 1.0]
+
+    def test_drawn_grids(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(12):
+            alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0, 0.7, 2.9]))
+            a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
+            n = int(rng.integers(1, 241))
+            xs = np.concatenate([rng.choice(BRANCH_XS, size=3),
+                                 rng.uniform(-1.0, 1.0, size=3)])
+            try:
+                values, cond = eval_biortho_grid(Params(alpha, a, b), n, xs)
+            except ScopeError:
+                continue
+            checked += self.assert_matches_exact(alpha, a, b, n, xs, values, cond)
+        assert checked >= 30
+
+    def test_largest_term_at_every_point(self):
+        # value = acc base^n and cond = peak/|acc|, so cond |value| is the
+        # largest term to a few roundings even where the sum cancels and the
+        # value itself is wrong; the float powers of t alone drift by up to
+        # j ulps at power j
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(8):
+            alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0, 0.7, 2.9]))
+            a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
+            n = int(rng.integers(1, 241))
+            xs = rng.uniform(-1.0, 1.0, size=4)
+            try:
+                values, cond = eval_biortho_grid(Params(alpha, a, b), n, xs)
+            except ScopeError:
+                continue
+            for x, value, c in zip(xs, values, cond):
+                if not (c > 1.0 and 0.0 < abs(value) < math.inf):
+                    continue
+                terms, den = _exact_bernstein_terms(alpha, a, b, n, float(x))
+                peak = Fraction(max(abs(t) for t in terms), den)
+                rel = abs(Fraction(float(c)) * abs(Fraction(float(value))) - peak) / peak
+                assert rel <= 8 * 2.0 ** -53, (alpha, a, b, n, x, float(rel))
                 checked += 1
-        assert checked >= 150
+        assert checked >= 20
 
 
 class TestClassicalJacobi:

@@ -335,6 +335,34 @@ class TestContourRule:
                                      scaled=True)
         assert res.evaluations == evaluations
 
+    def test_cached_nodes_match_a_fresh_build(self):
+        # the cached theta-free levels over |t| <= 3.5 give the nodes and
+        # weights of a build from scratch over |t| <= 6.5, bit for bit
+        def fresh(theta, level):
+            h = 2.0 ** -level
+            ks = np.arange(-int(6.5 / h), int(6.5 / h) + 1)
+            t = h * (ks[ks % 2 != 0] if level else ks)
+            q = np.exp(-2.0 * np.abs(PI / 2 * np.sinh(t)))
+            unit_weight = PI / 2 * np.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+            phis, weights = [], []
+            for lo, hi in ((0.0, theta), (theta, PI)):
+                r = 0.5 * (hi - lo)
+                dist = r * (2.0 * q / (1.0 + q))
+                phi = np.where(t <= 0.0, lo + dist, hi - dist)
+                keep = (dist >= 1e-20) & (phi > 0.0) & (phi < PI)
+                phis.append(phi[keep])
+                weights.append(r * unit_weight[keep])
+            return np.concatenate(phis), np.concatenate(weights)
+
+        thetas = np.concatenate([np.linspace(0.0, PI, 203)[1:-1],
+                                 [1e-9, 1e-3, PI - 1e-3, PI - 1e-9]])
+        for level in range(9):
+            for theta in thetas:
+                phi, weight = quadrature._contour_nodes(float(theta), level)
+                ref_phi, ref_weight = fresh(float(theta), level)
+                assert phi.tobytes() == ref_phi.tobytes(), (theta, level)
+                assert weight.tobytes() == ref_weight.tobytes(), (theta, level)
+
     @pytest.mark.parametrize("bad", [complex(1e3, 0.0), complex(math.nan, 0.0)])
     def test_non_finite_integrand_raises(self, monkeypatch, bad):
         # numpy's exp returns inf/nan with a warning where cmath raised;
