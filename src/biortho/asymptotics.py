@@ -94,7 +94,11 @@ def darboux_classical(a: float, b: float, n: int, theta: float) -> float:
 @dataclass(frozen=True)
 class ConvergenceRow:
     """One comparison row; rel_err is envelope-normalized and meaningful
-    only when envelope_ok (oscillation factor away from its zeros)."""
+    only when envelope_ok (oscillation factor away from its zeros).
+
+    reference and asymptotic underflow to 0 once rho^n leaves the double
+    range; scaled_reference and scaled_asymptotic are the same values over
+    rho^n, which stay finite, and log10_rho_n is the exponent taken out."""
 
     n: int
     reference: float
@@ -102,6 +106,9 @@ class ConvergenceRow:
     abs_err: float
     rel_err: float
     envelope_ok: bool
+    scaled_reference: float
+    scaled_asymptotic: float
+    log10_rho_n: float
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,9 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
             abs_err=abs(rho_n * scaled_ref - rho_n * scaled_asym),
             rel_err=rel_err,
             envelope_ok=ratio >= envelope_threshold,
+            scaled_reference=scaled_ref,
+            scaled_asymptotic=scaled_asym,
+            log10_rho_n=n * math.log10(sd.sine_ratio),
         ))
     kept = [(row.n, row.rel_err) for row in rows
             if row.envelope_ok and row.rel_err > 0.0]

@@ -213,11 +213,14 @@ def _cmd_table(args, config: RunConfig) -> int:
         contour_tol=config.tolerances["contour_tol"],
         envelope_threshold=config.tolerances["envelope_threshold"],
         allow_unproven=args.allow_unproven)
-    lines = ["n,reference,asymptotic,abs_err,rel_err,envelope_ok"]
+    lines = ["n,reference,asymptotic,abs_err,rel_err,envelope_ok,"
+             "scaled_reference,scaled_asymptotic,log10_rho_n"]
     for row in report.rows:
         lines.append(f"{row.n},{row.reference!r},{row.asymptotic!r},"
                      f"{row.abs_err!r},{row.rel_err!r},"
-                     f"{'true' if row.envelope_ok else 'false'}")
+                     f"{'true' if row.envelope_ok else 'false'},"
+                     f"{row.scaled_reference!r},{row.scaled_asymptotic!r},"
+                     f"{row.log10_rho_n!r}")
     lines.append(f"# slope = {report.slope!r}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -5,18 +5,24 @@ integrate_interval: the rule on [-1, 1] for integrands f(x) * (1-x)^a *
 from the substitution variable, so the endpoint powers never underflow or
 lose digits even where x itself rounds to +-1.  integrate_moments runs the
 same rule for many (a, b) pairs on shared nodes: each level's (a, b)-free
-node parts are built once and f is evaluated once per abscissa, while every
-pair keeps its own sums and convergence test, so its result equals its own
-integrate_interval call.
+node parts are built once per process and f is evaluated once per abscissa,
+while every pair keeps its own sums and convergence test, so its result
+equals its own integrate_interval call.
 
 rodrigues_contour_eval: the oscillatory contour integral representing the
 biorthogonal polynomial, with the dominant exponential factored out at the
 saddle so values like rho^n for n ~ 1000 never underflow intermediate
 arithmetic.  The saddle splits the contour into two halves whose ends hold
 the peak and the algebraic end behaviour, both of which the tanh-sinh map
-absorbs.  Each level's nodes of both halves go to phase.contour_integrand
-in one call, and the error estimate has a rounding floor, so it does not
-fall below what the integrand values themselves can resolve.
+absorbs.  The levels are nested, so levels 0-4 go to
+phase.contour_integrand in one call and each later level in one call of its
+own; the sums, the rounding floor and the stop test still run level by
+level, so the batching does not move a result.  evaluations counts every
+node that reached the integrand, used or not.  A non-finite value fails the
+call only in a level the rule uses, while the integrand's pole check covers
+every node of the call (an exact hit at an unused node has measure zero).
+The error estimate has a rounding floor, so it does not fall below what the
+integrand values themselves can resolve.
 """
 
 from __future__ import annotations
@@ -73,6 +79,25 @@ def _node_parts(t: float):
     return math.tanh(u), log_1mx, log_1px, log_dxdt
 
 
+@lru_cache(maxsize=32)
+def _moment_level(level: int, k_max: int):
+    """Read-only node parts of one integrate_moments level, h = 2^-level and
+    |k| <= k_max (level 0 takes every k, later levels the odd k only): k and
+    the four _node_parts arrays.  The default node range gives one entry per
+    level; an exponent near -1 widens the range and adds entries."""
+    ks = np.arange(-k_max, k_max + 1)
+    if level:
+        ks = ks[ks % 2 != 0]
+    h = 2.0 ** -level
+    parts = itertools.chain.from_iterable(_node_parts(k * h)
+                                          for k in ks.tolist())
+    x, log_1mx, log_1px, log_dxdt = np.fromiter(
+        parts, dtype=float, count=4 * ks.size).reshape(-1, 4).T.copy()
+    for part in (ks, x, log_1mx, log_1px, log_dxdt):
+        part.setflags(write=False)
+    return ks, x, log_1mx, log_1px, log_dxdt
+
+
 def integrate_interval(f: Callable, endpoint_exponents: Tuple[float, float],
                        tol: float) -> QuadResult:
     """Integral of f(x) (1-x)^a (1+x)^b over (-1, 1) by tanh-sinh refinement.
@@ -120,14 +145,7 @@ def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]]
         if not active:
             break
         k_max = [int(t_max[i] / h) for i in active]
-        # level 0 takes every k, later levels the odd k only
-        ks = np.arange(-max(k_max), max(k_max) + 1)
-        if level:
-            ks = ks[ks % 2 != 0]
-        parts = itertools.chain.from_iterable(_node_parts(k * h)
-                                              for k in ks.tolist())
-        x, log_1mx, log_1px, log_dxdt = np.fromiter(
-            parts, dtype=float, count=4 * ks.size).reshape(-1, 4).T
+        ks, x, log_1mx, log_1px, log_dxdt = _moment_level(level, max(k_max))
         masks, logws = [], []
         for i, km in zip(active, k_max):
             a, b = pairs[i]
@@ -175,47 +193,85 @@ _T_MAX = 3.5
 # g evaluates 0 * inf, and the dropped tail is below 1e-20 times the
 # integrand's bound on the contour.
 _MIN_DISTANCE = 1e-20
-# Integrand evaluations allowed per call: checked before each level, it
-# turns a tolerance below the rounding floor into a typed error.
+# Integrand evaluations allowed per call: checked before each integrand
+# call, it turns a tolerance below the rounding floor into a typed error.
 _MAX_EVALUATIONS = 64_000
 _EPS = float(np.finfo(float).eps)
+# Levels 0 to _FIRST_BATCH - 1 (h = 1 down to 1/16, 14 + 12 + 27 + 53..55 +
+# 106 nodes) go to the integrand in one call; later levels take one call
+# each.  A kernel call costs about the same up to ~200 nodes, so the batch
+# costs less than the calls for levels 0 and 1 alone, which every contour
+# call runs, and nearly every call at tol 1e-9 runs all five levels.
+_FIRST_BATCH = 5
 
 
 @lru_cache(maxsize=None)
-def _unit_level(level: int):
-    """Read-only theta-free parts of a tanh-sinh level (h = 2^-level, odd
-    multiples after level 0): t, unit distance 2q/(1+q) and unit weight,
-    with u = (pi/2) sinh t and q = e^{-2|u|}."""
-    h = 2.0 ** -level
-    ks = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
-    t = h * (ks[ks % 2 != 0] if level else ks)
+def _unit_levels(levels: range):
+    """Read-only theta-free parts of the tanh-sinh levels in levels (h =
+    2^-level, odd multiples after level 0), level by level and each level
+    twice, once per half of the contour: t, unit distance 2q/(1+q), unit
+    weight and the half (0 for [0, theta], 1 for [theta, pi]), with
+    u = (pi/2) sinh t and q = e^{-2|u|}; and the start of each level, with
+    the total length last."""
+    ts, edges = [], [0]
+    for level in levels:
+        h = 2.0 ** -level
+        ks = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
+        t = h * (ks[ks % 2 != 0] if level else ks)
+        ts += [t, t]
+        edges.append(edges[-1] + 2 * t.size)
+    t = np.concatenate(ts)
+    half = np.concatenate([np.full(part.size, i % 2)
+                           for i, part in enumerate(ts)])
     u = _HALF_PI * np.sinh(t)
     q = np.exp(-2.0 * np.abs(u))
     unit_dist = 2.0 * q / (1.0 + q)
     unit_weight = _HALF_PI * np.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
-    for part in (t, unit_dist, unit_weight):
+    for part in (t, unit_dist, unit_weight, half):
         part.setflags(write=False)
-    return t, unit_dist, unit_weight
+    return t, unit_dist, unit_weight, half, tuple(edges)
 
 
-def _contour_nodes(theta: float, level: int):
-    """Nodes phi and weights of one tanh-sinh level on [0, theta] and
-    [theta, pi], with the nodes too close to an end dropped.
+def _contour_nodes(theta: float, levels: range):
+    """Nodes phi and weights of the tanh-sinh levels in levels, level by
+    level and each on [0, theta] and then [theta, pi], with the nodes too
+    close to an end dropped; and the bounds of each level's slice.
 
     Each node is placed from its distance to the nearer end of its half,
     r 2q/(1+q) with r the half-length, so no node lands on 0, theta or pi
     by rounding 1 - tanh u.
     """
-    t, unit_dist, unit_weight = _unit_level(level)
-    phis, weights = [], []
-    for lo, hi in ((0.0, theta), (theta, _PI)):
-        r = 0.5 * (hi - lo)
-        dist = r * unit_dist
-        phi = np.where(t <= 0.0, lo + dist, hi - dist)
-        keep = (dist >= _MIN_DISTANCE) & (phi > 0.0) & (phi < _PI)
-        phis.append(phi[keep])
-        weights.append(r * unit_weight[keep])
-    return np.concatenate(phis), np.concatenate(weights)
+    t, unit_dist, unit_weight, half, edges = _unit_levels(levels)
+    r = np.array([0.5 * theta, 0.5 * (_PI - theta)])[half]
+    lo = np.array([0.0, theta])[half]
+    hi = np.array([theta, _PI])[half]
+    dist = r * unit_dist
+    phi = np.where(t <= 0.0, lo + dist, hi - dist)
+    keep = (dist >= _MIN_DISTANCE) & (phi > 0.0) & (phi < _PI)
+    bounds = np.concatenate(([0], np.cumsum(keep)))[list(edges)]
+    return phi[keep], (r * unit_weight)[keep], bounds.tolist()
+
+
+def _contour_levels(p: Params, theta: float, n: int, f0: complex, tol: float):
+    """The nodes, weights and integrand values of the contour rule, level by
+    level, with the count of nodes evaluated so far: levels 0 to
+    _FIRST_BATCH - 1 from one integrand call, then one call per level.
+    Raises ConvergenceError before a call would take the count over
+    _MAX_EVALUATIONS."""
+    batches = itertools.chain(
+        [range(_FIRST_BATCH)],
+        (range(level, level + 1) for level in itertools.count(_FIRST_BATCH)))
+    evaluations = 0
+    for levels in batches:
+        phi, weight, bounds = _contour_nodes(theta, levels)
+        if evaluations + phi.size > _MAX_EVALUATIONS:
+            raise ConvergenceError(
+                f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
+                f"evaluations at tol {tol:.1e}")
+        values = contour_integrand(p, theta, phi, n, f0)
+        evaluations += phi.size
+        for lo, hi in itertools.pairwise(bounds):
+            yield phi[lo:hi], weight[lo:hi], values[lo:hi], evaluations
 
 
 def rodrigues_contour_eval(p: Params, n: int, theta: float,
@@ -227,12 +283,17 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     rho^n factor is left off (value = P_n / rho^n), which keeps convergence
     tables finite for n in the hundreds where rho^n underflows.
 
+    Levels 0-4 are evaluated in one integrand call and every later level in
+    one call each; evaluations counts every node evaluated, so a call that
+    stops before level 4 reports all 212-214 nodes of the first batch.
+
     Requires n >= max(1 - (a+1)/alpha, -b) (integrand boundedness at the
-    branch points) and n >= 1.  Raises ConvergenceError when the next level
-    would take the call over _MAX_EVALUATIONS evaluations (a tol below the
-    rounding floor ends there) or when an integrand value is not finite, and
-    ScopeError when scaled=False and rho^n or the value leaves the double
-    range.
+    branch points) and n >= 1.  Raises ConvergenceError when the next
+    integrand call would take the call over _MAX_EVALUATIONS evaluations (a
+    tol below the rounding floor ends there) or when an integrand value of a
+    level the rule uses is not finite, ValueError when a node of an
+    integrand call, used or not, hits the integrand's pole, and ScopeError
+    when scaled=False and rho^n or the value leaves the double range.
     """
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
@@ -263,18 +324,12 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     # The saddle splits the contour into [0, theta] and [theta, pi], which
     # puts the peak of e^{n(f-f0)} at an end of each half.  Level 0 has
     # h = 1; each later level halves h and adds the odd multiples.
-    total, l1_total, evaluations, h = 0j, 0.0, 0, 1.0
-    for level in itertools.count():
-        phi, weight = _contour_nodes(theta, level)
-        if evaluations + phi.size > _MAX_EVALUATIONS:
-            raise ConvergenceError(
-                f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
-                f"evaluations at tol {tol:.1e}")
-        values = contour_integrand(p, theta, phi, n, f0)
+    total, l1_total, h = 0j, 0.0, 1.0
+    levels = _contour_levels(p, theta, n, f0, tol)
+    for level, (phi, weight, values, evaluations) in enumerate(levels):
         if not np.isfinite(values).all():
             raise ConvergenceError(
                 "rodrigues_contour_eval: non-finite integrand value")
-        evaluations += phi.size
         contrib = weight * values
         rounding = np.abs(contrib) * (1.0 + cond_scale / (_PI - phi))
         prev, total = total, 0.5 * total + h * complex(np.sum(contrib))

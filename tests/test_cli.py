@@ -253,11 +253,33 @@ class TestTable:
                            "--config", str(cfg))
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "n,reference,asymptotic,abs_err,rel_err,envelope_ok"
+        assert lines[0] == ("n,reference,asymptotic,abs_err,rel_err,"
+                            "envelope_ok,scaled_reference,scaled_asymptotic,"
+                            "log10_rho_n")
         assert lines[-1].startswith("# slope = ")
         slope = float(lines[-1].split("=")[1])
         assert -1.3 <= slope <= -0.7
         assert len(lines) == 9  # header + 7 rows + slope
+
+    def test_scaled_columns_keep_underflowed_rows(self, capsys):
+        # from n = 2048 at theta = pi/3, rho^n underflows and the reference
+        # and asymptotic columns read -0.0; the scaled columns keep the data
+        code, out, _ = run(capsys, "table", "--alpha", "2", "--a", "0",
+                           "--b", "0", "--theta", str(PI / 3),
+                           "--n-dyadic", "3..12")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+        assert [row[0] for row in rows] == [str(2 ** k) for k in range(3, 13)]
+        for row in rows:
+            reference = float(row[1])
+            scaled_ref, scaled_asym, log10_rho_n = map(float, row[6:])
+            assert scaled_ref != 0.0 and scaled_asym != 0.0
+            if int(row[0]) >= 512:  # the leading term is O(1/n) off
+                assert scaled_ref == pytest.approx(scaled_asym, rel=1e-3)
+            if int(row[0]) < 2048:
+                assert reference == pytest.approx(
+                    scaled_ref * 10.0 ** log10_rho_n, rel=1e-12)
+        assert float(rows[-2][1]) == 0.0 and float(rows[-2][8]) < -330.0
 
     def test_alpha_two_slope(self, capsys):
         code, out, _ = run(capsys, "table", "--alpha", "2", "--a", "0",

@@ -168,6 +168,20 @@ class TestSharedMoments:
         assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) \
             == (value.hex(), err.hex(), evaluations)
 
+    @pytest.mark.parametrize("level, k_max", [(0, 7), (0, 9), (1, 15),
+                                              (4, 120), (6, 480), (3, 111)])
+    def test_cached_level_parts_match_a_fresh_build(self, level, k_max):
+        # each cached level holds the node parts of _node_parts(k h) for the
+        # k of that level, bit for bit
+        ks, *parts = quadrature._moment_level(level, k_max)
+        expected = [k for k in range(-k_max, k_max + 1) if k % 2 or not level]
+        assert ks.tolist() == expected
+        fresh = np.array([quadrature._node_parts(k * 2.0 ** -level)
+                          for k in expected])
+        for cached, column in zip(parts, fresh.T):
+            assert cached.tobytes() == column.copy().tobytes()
+            assert not cached.flags.writeable
+
     def test_constant_integrand(self):
         # a scalar f value is broadcast over the abscissae
         self.assert_same_as_separate_calls(lambda x: 1.0,
@@ -217,6 +231,60 @@ CONTOUR_PINS = [
     (2.0, 0.5, -0.999, 4096, 2.2, True,
      "0x1.85ec071efb2e2p-8", "0x1.0fd9cf14f264cp-41", 852),
 ]
+
+
+def fresh_level_nodes(theta, level):
+    """Nodes and weights of one tanh-sinh level of the contour rule, built
+    from scratch over |t| <= 6.5: [0, theta] first, then [theta, pi]."""
+    h = 2.0 ** -level
+    ks = np.arange(-int(6.5 / h), int(6.5 / h) + 1)
+    t = h * (ks[ks % 2 != 0] if level else ks)
+    q = np.exp(-2.0 * np.abs(PI / 2 * np.sinh(t)))
+    unit_weight = PI / 2 * np.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+    phis, weights = [], []
+    for lo, hi in ((0.0, theta), (theta, PI)):
+        r = 0.5 * (hi - lo)
+        dist = r * (2.0 * q / (1.0 + q))
+        phi = np.where(t <= 0.0, lo + dist, hi - dist)
+        keep = (dist >= 1e-20) & (phi > 0.0) & (phi < PI)
+        phis.append(phi[keep])
+        weights.append(r * unit_weight[keep])
+    return np.concatenate(phis), np.concatenate(weights)
+
+
+def reference_contour(p, n, theta, tol, scaled):
+    """rodrigues_contour_eval as one public phase.contour_integrand call per
+    level on freshly built nodes, with the same evaluation cap; (value, error
+    estimate, last level, node count of each level run)."""
+    f0 = phase.f_at_saddle(p, theta)
+    f2 = phase.f_second_at_saddle(p, theta)
+    gauss_width = math.sqrt(2.0 * PI / (n * max(abs(f2), 1e-12)))
+    scale = abs(phase.g_at_saddle(p, theta)) * min(gauss_width, PI)
+    floor_factor = 2.0 * (n + 1) * np.finfo(float).eps
+    cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
+    total, l1_total, h, sizes = 0j, 0.0, 1.0, []
+    for level in itertools.count():
+        phi, weight = fresh_level_nodes(theta, level)
+        if sum(sizes) + phi.size > 64_000:
+            raise ConvergenceError("over 64000 integrand evaluations")
+        values = phase.contour_integrand(p, theta, phi, n, f0)
+        if not np.isfinite(values).all():
+            raise ConvergenceError("non-finite integrand value")
+        sizes.append(phi.size)
+        contrib = weight * values
+        rounding = np.abs(contrib) * (1.0 + cond_scale / (PI - phi))
+        prev, total = total, 0.5 * total + h * complex(np.sum(contrib))
+        l1_total = 0.5 * l1_total + h * float(np.sum(rounding))
+        err_total = max(abs(total - prev), floor_factor * l1_total)
+        if level and err_total <= tol * scale:
+            break
+        h *= 0.5
+    value = (cmath.exp(1j * n * theta) * total / (1j * PI)).real
+    err = err_total / PI
+    if not scaled:
+        rho_n = math.exp(n * f0.real)
+        value, err = rho_n * value, rho_n * err
+    return value, err, level, sizes
 
 
 class TestContourRule:
@@ -337,31 +405,22 @@ class TestContourRule:
 
     def test_cached_nodes_match_a_fresh_build(self):
         # the cached theta-free levels over |t| <= 3.5 give the nodes and
-        # weights of a build from scratch over |t| <= 6.5, bit for bit
-        def fresh(theta, level):
-            h = 2.0 ** -level
-            ks = np.arange(-int(6.5 / h), int(6.5 / h) + 1)
-            t = h * (ks[ks % 2 != 0] if level else ks)
-            q = np.exp(-2.0 * np.abs(PI / 2 * np.sinh(t)))
-            unit_weight = PI / 2 * np.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
-            phis, weights = [], []
-            for lo, hi in ((0.0, theta), (theta, PI)):
-                r = 0.5 * (hi - lo)
-                dist = r * (2.0 * q / (1.0 + q))
-                phi = np.where(t <= 0.0, lo + dist, hi - dist)
-                keep = (dist >= 1e-20) & (phi > 0.0) & (phi < PI)
-                phis.append(phi[keep])
-                weights.append(r * unit_weight[keep])
-            return np.concatenate(phis), np.concatenate(weights)
-
+        # weights of a build from scratch over |t| <= 6.5, bit for bit:
+        # levels 0-4 from one build, level by level, and each later level
         thetas = np.concatenate([np.linspace(0.0, PI, 203)[1:-1],
                                  [1e-9, 1e-3, PI - 1e-3, PI - 1e-9]])
-        for level in range(9):
+        batches = [range(5)] + [range(level, level + 1) for level in range(5, 9)]
+        for levels in batches:
             for theta in thetas:
-                phi, weight = quadrature._contour_nodes(float(theta), level)
-                ref_phi, ref_weight = fresh(float(theta), level)
-                assert phi.tobytes() == ref_phi.tobytes(), (theta, level)
-                assert weight.tobytes() == ref_weight.tobytes(), (theta, level)
+                phi, weight, bounds = quadrature._contour_nodes(float(theta),
+                                                                levels)
+                fresh = [fresh_level_nodes(float(theta), level)
+                         for level in levels]
+                assert bounds == [0, *itertools.accumulate(
+                    ref_phi.size for ref_phi, _ in fresh)], (theta, levels)
+                ref_phi, ref_weight = map(np.concatenate, zip(*fresh))
+                assert phi.tobytes() == ref_phi.tobytes(), (theta, levels)
+                assert weight.tobytes() == ref_weight.tobytes(), (theta, levels)
 
     @pytest.mark.parametrize("bad", [complex(1e3, 0.0), complex(math.nan, 0.0)])
     def test_non_finite_integrand_raises(self, monkeypatch, bad):
@@ -397,6 +456,84 @@ class TestContourRule:
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 4, 1.0, 1e-9)
         assert isinstance(res, QuadResult)
         assert res.error_estimate >= 0.0
+
+
+CRIT3_PARAMS = list(itertools.product((1.0, 2.0, 4.0), (-0.5, 0.0, 1.2),
+                                      (-0.5, 0.0, 1.2)))
+CRIT3_THETAS = (PI / 4, PI / 2, 3 * PI / 4)
+
+
+def first_batch_cases(tol, count=10):
+    """Seeded contour calls at tol: criterion-3 points, dyadic n up to 4096
+    scaled, theta near 0 and pi, and b near -1."""
+    rng = random.Random(f"first batch {tol}")
+
+    def n_min(alpha, a, b):
+        return max(1, math.ceil(max(1.0 - (a + 1.0) / alpha, -b)))
+
+    cases = []
+    for _ in range(count):
+        alpha, a, b = rng.choice(CRIT3_PARAMS)
+        cases.append((Params(alpha, a, b), rng.randint(n_min(alpha, a, b), 40),
+                      rng.choice(CRIT3_THETAS), False))
+        cases.append((Params(*rng.choice(CRIT3_PARAMS)), 2 ** rng.randint(6, 12),
+                      rng.choice(CRIT3_THETAS), True))
+        alpha, a, b = rng.choice(CRIT3_PARAMS)
+        cases.append((Params(alpha, a, b), rng.randint(n_min(alpha, a, b), 40),
+                      rng.choice((1e-3, 0.05, PI - 0.05, PI - 1e-3)),
+                      rng.random() < 0.5))
+        p = Params(rng.choice((1.0, 2.0, 4.0)), rng.choice((-0.5, 0.0, 1.2)),
+                   rng.choice((-0.99, -0.999)))
+        cases.append((p, rng.randint(1, 40), rng.uniform(0.1, 3.0),
+                      rng.random() < 0.5))
+    return cases
+
+
+class TestFirstBatch:
+    """Levels 0-4 share one integrand call; the sums, the floor and the stop
+    test still run level by level, so every result is that of one call per
+    level, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
+    def test_matches_one_call_per_level(self, tol):
+        stops = set()
+        for p, n, theta, scaled in first_batch_cases(tol):
+            try:
+                value, err, level, sizes = reference_contour(p, n, theta, tol,
+                                                             scaled)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    rodrigues_contour_eval(p, n, theta, tol, scaled=scaled)
+                continue
+            res = rodrigues_contour_eval(p, n, theta, tol, scaled=scaled)
+            # every node of levels 0-4 reached the integrand, used or not
+            prefix = [fresh_level_nodes(theta, lv)[0].size for lv in range(5)]
+            evaluations = sum(sizes) + sum(prefix[len(sizes):])
+            assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) \
+                == (value.hex(), err.hex(), evaluations), (p, n, theta, scaled)
+            stops.add(level)
+        # the sweep covers stops inside the batch and after it
+        assert stops & {1, 2, 3} if tol > 1e-9 else max(stops) > 4
+
+    def test_unused_prefix_level_never_raises(self, monkeypatch):
+        # a non-finite value at the last node of level 4, which the first
+        # call holds, is checked only if the loop reaches level 4
+        p, n, theta = Params(2.0, 0.5, -0.3), 20, PI / 3
+        clean = rodrigues_contour_eval(p, n, theta, 1e-2)
+        assert reference_contour(p, n, theta, 1e-2, False)[2] < 4
+        inner = quadrature.contour_integrand
+
+        def spoiled(p, theta, phi, n, f0):
+            values = inner(p, theta, phi, n, f0)
+            values[-1] = complex(math.nan, 0.0)
+            return values
+
+        monkeypatch.setattr(quadrature, "contour_integrand", spoiled)
+        res = rodrigues_contour_eval(p, n, theta, 1e-2)
+        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) \
+            == (clean.value.hex(), clean.error_estimate.hex(), clean.evaluations)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            rodrigues_contour_eval(p, n, theta, 1e-9)
 
 
 def assert_within_estimate(p, n, theta, tol):
