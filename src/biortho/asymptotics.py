@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from .config import DEFAULTS
 from .errors import InputError, ScopeError
-from .numerics import fit_loglog_slope
+from .numerics import fit_loglog_slope, times_exp
 from .phase import SaddleData, saddle_data, sine_ratio, x_of_theta
 from .polys import Params, eval_biortho
 from .quadrature import rodrigues_contour_eval
@@ -64,6 +65,8 @@ def darboux_biortho(p: Params, n: int, theta: float,
     Raises ScopeError for alpha < 1 unless allow_unproven is set: the
     steepest-descent derivation needs alpha >= 1, and whether the same
     formula holds below is an open question this package only explores.
+    It raises ScopeError too where rho^n (rho > 1 at alpha < 1) takes the
+    value beyond the double range.
     """
     if p.alpha < 1.0 and not allow_unproven:
         raise ScopeError(
@@ -73,7 +76,7 @@ def darboux_biortho(p: Params, n: int, theta: float,
         raise InputError(f"degree must be a positive integer, got {n!r}")
     scaled_value, _, _, log_rho = _leading_parts(p, saddle_data(p, theta),
                                                  int(n), theta)
-    return math.exp(n * log_rho) * scaled_value
+    return times_exp(scaled_value, n * log_rho, "darboux_biortho")
 
 
 def darboux_classical(a: float, b: float, n: int, theta: float) -> float:
@@ -129,14 +132,16 @@ def _scaled_reference(p: Params, n: int, theta: float, mode: str,
 
 def convergence_table(p: Params, theta: float, n_list: Sequence[int],
                       reference_mode: str = "auto", *,
-                      contour_tol: float = 1e-10,
-                      envelope_threshold: float = 0.3,
+                      contour_tol: float = DEFAULTS["contour_tol"],
+                      envelope_threshold: float = DEFAULTS["envelope_threshold"],
                       allow_unproven: bool = False) -> RateReport:
     """Reference-vs-asymptotic comparison over n with a fitted log-log slope.
 
     reference_mode: "exact" (double sum), "contour", or "auto".  Every n
     produces a row; rows failing the envelope filter keep their data but are
-    excluded from the slope fit.  Fewer than three kept rows raises.
+    excluded from the slope fit.  Fewer than three kept rows raises
+    ValueError; a row whose rho^n (rho > 1 at alpha < 1) takes the reference
+    or the asymptotic value beyond the double range raises ScopeError.
     """
     if p.alpha < 1.0 and not allow_unproven:
         raise ScopeError(
@@ -153,13 +158,16 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
         scaled_asym, scaled_env, ratio, log_rho = _leading_parts(p, sd, n, theta)
         scaled_ref = _scaled_reference(p, n, theta, reference_mode,
                                        contour_tol, log_rho)
-        rho_n = math.exp(n * log_rho)  # may underflow to 0 for huge n
+        # rho^n underflows to 0 for huge n at alpha >= 1
+        what = f"convergence_table at n={n}"
+        reference = times_exp(scaled_ref, n * log_rho, what)
+        asymptotic = times_exp(scaled_asym, n * log_rho, what)
         rel_err = abs(scaled_ref - scaled_asym) / scaled_env
         rows.append(ConvergenceRow(
             n=n,
-            reference=rho_n * scaled_ref,
-            asymptotic=rho_n * scaled_asym,
-            abs_err=abs(rho_n * scaled_ref - rho_n * scaled_asym),
+            reference=reference,
+            asymptotic=asymptotic,
+            abs_err=abs(reference - asymptotic),
             rel_err=rel_err,
             envelope_ok=ratio >= envelope_threshold,
             scaled_reference=scaled_ref,
@@ -177,7 +185,7 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
 
 
 def envelope_bound(p: Params, theta: float, n_list: Sequence[int], *,
-                   contour_tol: float = 1e-10):
+                   contour_tol: float = DEFAULTS["contour_tol"]):
     """Uniform-bound scan: const = max_n |P_n(x(theta))| sqrt(n) rho^(-n).
 
     Returns (const, rows) where each row is (n, scaled magnitude); the bound

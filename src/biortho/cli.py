@@ -12,8 +12,9 @@ Exit codes, chosen by exception type: 0 success, 1 verification failure,
 2 usage, input or config error (InputError, OSError, argparse), 3 scope
 error (ScopeError: alpha < 1 asymptotics without --allow-unproven, exact
 coefficients beyond the double range, where --method contour applies, or a
-contour value beyond it), 4 numerical failure (ConvergenceError or any
-other ValueError).
+contour value, an asymptotic term or a table row whose rho^n takes it beyond
+that range), 4 numerical failure (ConvergenceError or any other
+ValueError).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import convergence_table, darboux_biortho
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import ConvergenceError, InputError, ScopeError
 from .phase import contour_point, t_modulus, theta_of_x, x_of_theta
 from .polys import Params, eval_biortho
@@ -123,11 +124,10 @@ def _json_line(record: dict) -> str:
 # eval
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(args, config: RunConfig) -> int:
+def _cmd_eval(args, config: dict) -> int:
     if (args.x is None) == (args.theta is None):
         raise InputError("provide exactly one of --x / --theta")
     p = Params(args.alpha, args.a, args.b)
-    bisect_tol = config.tolerances["bisect_tol"]
     inputs = {"alpha": args.alpha, "a": args.a, "b": args.b, "n": args.n,
               "method": args.method}
     record: dict = {"inputs": inputs, "method": args.method}
@@ -137,19 +137,17 @@ def _cmd_eval(args, config: RunConfig) -> int:
         result = eval_biortho(p, args.n, x)
         record["value"] = result.value
         record["condition_estimate"] = result.condition_estimate
-    elif args.method == "contour":
+    else:
         theta = args.theta if args.theta is not None else \
-            theta_of_x(p, args.x, bisect_tol)
+            theta_of_x(p, args.x, config["bisect_tol"])
         inputs["theta"] = theta
+    if args.method == "contour":
         result = rodrigues_contour_eval(p, args.n, theta,
-                                        config.tolerances["contour_tol"])
+                                        config["contour_tol"])
         record["value"] = result.value
         record["error_estimate"] = result.error_estimate
         record["evaluations"] = result.evaluations
-    else:
-        theta = args.theta if args.theta is not None else \
-            theta_of_x(p, args.x, bisect_tol)
-        inputs["theta"] = theta
+    elif args.method == "asymptotic":
         record["value"] = darboux_biortho(p, args.n, theta,
                                           allow_unproven=args.allow_unproven)
     _emit(_json_line(record) + "\n", args.output)
@@ -161,29 +159,20 @@ def _cmd_eval(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_task(payload):
-    suite, seed, kwargs = payload
-    return [r.as_dict() for r in run_suite(suite, seed, **kwargs)]
+    suite, seed, config = payload
+    return [r.as_dict() for r in run_suite(suite, seed, **config)]
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
-    kwargs = dict(
-        identity_samples=config.grids["identity_samples"],
-        scan_grid=config.grids["scan_grid"],
-        biortho_n_max=config.grids["biortho_n_max"],
-        biortho_tol=config.tolerances["biortho_tol"],
-        quad_tol=config.tolerances["quad_tol"],
-        reduction_n_max=config.grids["reduction_n_max"],
-        reduction_tol=config.tolerances["reduction_tol"],
-    )
+def _cmd_verify(args, config: dict) -> int:
     if args.suite == "all" and args.jobs > 1:
         # sub-suites are independent; ordered dispatch keeps output stable
-        parts = ["identities", "lemmas", "biortho", "reduction"]
-        payloads = [(name, args.seed, kwargs) for name in parts]
+        parts = [name for name in SUITE_NAMES if name != "all"]
+        payloads = [(name, args.seed, config) for name in parts]
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(parts))) as pool:
             chunks = list(pool.map(_suite_task, payloads))
         records = [r for chunk in chunks for r in chunk]
     else:
-        records = _suite_task((args.suite, args.seed, kwargs))
+        records = _suite_task((args.suite, args.seed, config))
     lines = "".join(_json_line(r) + "\n" for r in records)
     _emit(lines, args.output)
     failed = any(r["status"] == "fail" for r in records)
@@ -205,13 +194,13 @@ def _parse_dyadic(text: str):
     return [2 ** k for k in range(k0, k1 + 1)]
 
 
-def _cmd_table(args, config: RunConfig) -> int:
+def _cmd_table(args, config: dict) -> int:
     p = Params(args.alpha, args.a, args.b)
     n_list = _parse_dyadic(args.n_dyadic)
     report = convergence_table(
         p, args.theta, n_list, args.reference,
-        contour_tol=config.tolerances["contour_tol"],
-        envelope_threshold=config.tolerances["envelope_threshold"],
+        contour_tol=config["contour_tol"],
+        envelope_threshold=config["envelope_threshold"],
         allow_unproven=args.allow_unproven)
     lines = ["n,reference,asymptotic,abs_err,rel_err,envelope_ok,"
              "scaled_reference,scaled_asymptotic,log10_rho_n"]
@@ -230,7 +219,7 @@ def _cmd_table(args, config: RunConfig) -> int:
 # contour-dump
 # ---------------------------------------------------------------------------
 
-def _cmd_contour_dump(args, config: RunConfig) -> int:
+def _cmd_contour_dump(args, config: dict) -> int:
     p = Params(args.alpha, 0.0, 0.0)
     if args.points < 2:
         raise InputError("--points must be >= 2")

@@ -1,72 +1,35 @@
-"""Run configuration: every tolerance and grid constant in one place.
+"""Run configuration: the one table of every tolerance and grid default.
 
-Values can be overridden by a config file of `key = value` lines (path via
---config or the BIORTHO_CONFIG environment variable).  Unknown keys and
-values that do not parse as the key's type are rejected with InputError.
+DEFAULTS is the only place a default is written.  The library's keyword
+defaults read their values from it, so a library call that leaves a setting
+out runs with the value the CLI uses without a config file.  A config file
+of `key = value` lines (path via --config or the BIORTHO_CONFIG environment
+variable) overrides any of them; each value is parsed by the type of its
+default, and unknown keys and values that do not parse are rejected with
+InputError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict
 
 from .errors import InputError
 
-# Tolerances
-#   quad_tol            relative target of the double-exponential rule
-#   contour_tol         relative-to-peak target of the contour rule
-#   biortho_tol         |I_j|/|I_n| threshold of the biorthogonality check
-#   reduction_tol       alpha=1 reduction threshold (relative, floored at 1)
-#   bisect_tol          bracket width for angle inversions
-#   envelope_threshold  oscillation-factor filter of convergence tables
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "quad_tol": 1e-10,
-    "contour_tol": 1e-10,
-    "biortho_tol": 1e-7,
-    "reduction_tol": 1e-9,
-    "bisect_tol": 1e-12,
-    "envelope_threshold": 0.3,
+DEFAULTS: Dict[str, float] = {
+    # tolerances
+    "quad_tol": 1e-10,          # relative target of the tanh-sinh rule
+    "contour_tol": 1e-10,       # relative-to-peak target of the contour rule
+    "biortho_tol": 1e-7,        # |I_j|/|I_n| threshold of biorthogonality
+    "reduction_tol": 1e-9,      # alpha=1 reduction threshold (floored at 1)
+    "bisect_tol": 1e-12,        # bracket width for angle inversions
+    "envelope_threshold": 0.3,  # oscillation-factor filter of tables
+    # grids
+    "scan_grid": 2000,          # points of the lemma/claim angle scans
+    "identity_samples": 1000,   # random samples per appendix identity
+    "biortho_n_max": 4,         # largest degree of the biorthogonality suite
+    "reduction_n_max": 20,      # largest degree of the reduction suite
 }
-
-# Grids
-#   scan_grid         points of the lemma/claim angle scans
-#   identity_samples  random samples per appendix identity
-#   biortho_n_max     largest degree of the default biorthogonality suite
-#   reduction_n_max   largest degree of the default reduction suite
-DEFAULT_GRIDS: Dict[str, int] = {
-    "scan_grid": 2000,
-    "identity_samples": 1000,
-    "biortho_n_max": 4,
-    "reduction_n_max": 20,
-}
-
-_FLOAT_KEYS = frozenset(DEFAULT_TOLERANCES)
-_INT_KEYS = frozenset(DEFAULT_GRIDS)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerances: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    grids: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_GRIDS))
-
-    def with_overrides(self, overrides: Dict[str, str]) -> "RunConfig":
-        tolerances = dict(self.tolerances)
-        grids = dict(self.grids)
-        for key, raw in overrides.items():
-            if key in _FLOAT_KEYS:
-                target, kind = tolerances, float
-            elif key in _INT_KEYS:
-                target, kind = grids, int
-            else:
-                raise InputError(f"unknown config key {key!r}")
-            try:
-                target[key] = kind(raw)
-            except ValueError:
-                raise InputError(f"config value {raw!r} of {key!r} is not "
-                                 f"a valid {kind.__name__}") from None
-        return RunConfig(tolerances=tolerances, grids=grids)
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -87,8 +50,16 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return overrides
 
 
-def load_config(path: str | None) -> RunConfig:
-    config = RunConfig()
-    if path:
-        config = config.with_overrides(parse_config_file(path))
+def load_config(path: str | None) -> Dict[str, float]:
+    """DEFAULTS with the overrides of the config file at path, if any."""
+    config = dict(DEFAULTS)
+    for key, raw in (parse_config_file(path) if path else {}).items():
+        if key not in DEFAULTS:
+            raise InputError(f"unknown config key {key!r}")
+        kind = type(DEFAULTS[key])
+        try:
+            config[key] = kind(raw)
+        except ValueError:
+            raise InputError(f"config value {raw!r} of {key!r} is not "
+                             f"a valid {kind.__name__}") from None
     return config

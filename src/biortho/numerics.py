@@ -1,9 +1,9 @@
 """Scalar and double-width numeric kernels shared by all modules.
 
-Provides principal-branch complex powers, bracketed bisection,
-Richardson-extrapolated central finite differences, least-squares slope
-fitting, and a small set of vectorized double-double primitives used by the
-polynomial evaluators.
+Provides principal-branch complex powers, a range-checked value * e^x,
+bracketed bisection, Richardson-extrapolated central finite differences,
+least-squares slope fitting, and a small set of vectorized double-double
+primitives used by the polynomial evaluators.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -12,9 +12,12 @@ number of threads.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+
+from .errors import ScopeError
 
 # exp() underflows to zero below this exponent; nodes beyond it are dead
 DEAD_LOG = -745.0
@@ -24,6 +27,7 @@ __all__ = [
     "fd_derivative",
     "find_root_bisect",
     "fit_loglog_slope",
+    "times_exp",
 ]
 
 
@@ -38,6 +42,22 @@ def complex_pow_principal(z: complex, p: float) -> complex:
             return 0.0 + 0.0j
         raise ValueError("complex_pow_principal: zero base with p <= 0")
     return cmath.exp(p * cmath.log(z))
+
+
+def times_exp(value: float, exponent: float, what: str,
+              hint: str = "") -> float:
+    """value * e^exponent, where e^exponent is the factor rho^n taken out of a
+    scaled value.  Raises ScopeError, naming `what` and appending `hint`, when
+    the factor or the product exceeds the double range; underflow to 0 is
+    returned as is."""
+    try:
+        product = value * math.exp(exponent)
+    except OverflowError:
+        product = math.inf
+    if math.isinf(product):
+        raise ScopeError(f"{what}: rho^n = exp({exponent:.4g}) takes the "
+                         f"value beyond the double range{hint}")
+    return product
 
 
 def find_root_bisect(f: Callable[[float], float], lo: float, hi: float,

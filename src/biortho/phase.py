@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import InputError
 from .numerics import DEAD_LOG, complex_pow_principal, find_root_bisect
 from .polys import Params
@@ -187,7 +188,8 @@ def x_of_theta(p: Params, theta):
     return _like(_with_limits(theta, "theta", {0.0: 1.0, _PI: -1.0}, x), theta)
 
 
-def theta_of_x(p: Params, x: float, tol: float = 1e-12) -> float:
+def theta_of_x(p: Params, x: float,
+               tol: float = DEFAULTS["bisect_tol"]) -> float:
     """Inverse of x_of_theta by bisection (licensed by strict monotonicity)."""
     x = float(x)
     if not (-1.0 < x < 1.0):

@@ -36,8 +36,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, ScopeError
-from .numerics import DEAD_LOG
+from .config import DEFAULTS
+from .errors import ConvergenceError, InputError
+from .numerics import DEAD_LOG, times_exp
 from .phase import contour_integrand, f_at_saddle, g_at_saddle, f_second_at_saddle
 from .polys import Params
 
@@ -275,7 +276,8 @@ def _contour_levels(p: Params, theta: float, n: int, f0: complex, tol: float):
 
 
 def rodrigues_contour_eval(p: Params, n: int, theta: float,
-                           tol: float = 1e-9, *, scaled: bool = False) -> QuadResult:
+                           tol: float = DEFAULTS["contour_tol"], *,
+                           scaled: bool = False) -> QuadResult:
     """Polynomial value from the half-contour integral representation.
 
     Evaluates Re{(1/(pi i)) \\int_0^pi e^{n f} g dphi} by factoring out the
@@ -293,7 +295,8 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     tol below the rounding floor ends there) or when an integrand value of a
     level the rule uses is not finite, ValueError when a node of an
     integrand call, used or not, hits the integrand's pole, and ScopeError
-    when scaled=False and rho^n or the value leaves the double range.
+    when scaled=False and rho^n, the value or its error estimate leaves the
+    double range.
     """
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
@@ -345,13 +348,7 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     scaled_err = err_total / _PI
     if scaled:
         return QuadResult(scaled_value, scaled_err, evaluations)
-    try:
-        rho_n = math.exp(n * f0.real)
-        if math.isinf(rho_n * scaled_value):
-            raise OverflowError
-    except OverflowError:
-        raise ScopeError(
-            f"rodrigues_contour_eval: rho^n = exp({n * f0.real:.4g}) takes the "
-            f"value beyond the double range; scaled=True gives P_n / rho^n"
-        ) from None
-    return QuadResult(rho_n * scaled_value, rho_n * scaled_err, evaluations)
+    what, hint = "rodrigues_contour_eval", "; scaled=True gives P_n / rho^n"
+    return QuadResult(times_exp(scaled_value, n * f0.real, what, hint),
+                      times_exp(scaled_err, n * f0.real, what, hint),
+                      evaluations)

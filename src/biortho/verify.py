@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import phase
+from .config import DEFAULTS
 from .errors import ConvergenceError, InputError
 from .numerics import fd_derivative
 from .polys import (
@@ -70,8 +71,10 @@ def _record(check_id, params, ok, witness, tol, skipped=False) -> CheckRecord:
 # biorthogonality
 # ---------------------------------------------------------------------------
 
-def biorthogonality_check(p: Params, n: int, tol: float = 1e-7,
-                          quad_tol: float = 1e-10) -> CheckRecord:
+def biorthogonality_check(p: Params, n: int,
+                          tol: float = DEFAULTS["biortho_tol"],
+                          quad_tol: float = DEFAULTS["quad_tol"]
+                          ) -> CheckRecord:
     """Moments of P_n against the test system (1-x)^(alpha j), j = 0..n.
 
     Passes iff every |I_j|, j < n, is at most tol * |I_n| and I_n itself is
@@ -206,7 +209,8 @@ def _identity_definitions():
     ]
 
 
-def identity_suite(samples: int = 1000, seed: int = 7) -> List[CheckRecord]:
+def identity_suite(samples: int = DEFAULTS["identity_samples"],
+                   seed: int = 7) -> List[CheckRecord]:
     """Numeric certification of the trigonometric and Gamma identities.
 
     Each identity is sampled at `samples` seeded random points, all of which
@@ -236,9 +240,9 @@ def identity_suite(samples: int = 1000, seed: int = 7) -> List[CheckRecord]:
 # lemma scans
 # ---------------------------------------------------------------------------
 
-def saddle_and_concavity_check(grid: Tuple[Sequence[float], Sequence[float]],
-                               tol: float = 1e-10,
-                               scan_grid: int = 2000) -> List[CheckRecord]:
+def saddle_and_concavity_check(
+        grid: Tuple[Sequence[float], Sequence[float]], tol: float = 1e-10,
+        scan_grid: int = DEFAULTS["scan_grid"]) -> List[CheckRecord]:
     """Saddle residual, uniqueness of the sign change of Re f', and
     concavity Re f'' < 0 at each (alpha, theta) grid point."""
     alphas, thetas = grid
@@ -264,7 +268,7 @@ def saddle_and_concavity_check(grid: Tuple[Sequence[float], Sequence[float]],
 
 
 def monotonicity_scan(alpha: float, theta: float,
-                      grid_size: int = 2000) -> CheckRecord:
+                      grid_size: int = DEFAULTS["scan_grid"]) -> CheckRecord:
     """Grid surrogate for unimodality of the modulus-square T.
 
     For alpha >= 1 this is a pass/fail check (strictly increasing before the
@@ -304,7 +308,7 @@ def monotonicity_scan(alpha: float, theta: float,
     return _record("t_descent_structure", params, True, witness, 0.0)
 
 
-def claim_check(alpha: float, grid_size: int = 2000,
+def claim_check(alpha: float, grid_size: int = DEFAULTS["scan_grid"],
                 tol: float = 1e-9) -> CheckRecord:
     """Dichotomy scan: at every grid angle either u vanishes (with w < 0) or
     the quotient h lies outside (0, 1); plus the quadratic identity
@@ -361,8 +365,9 @@ def counterexample_scan(alpha: float) -> CheckRecord:
                    0.0)
 
 
-def reduction_check(a: float, b: float, n_max: int = 30,
-                    tol: float = 1e-9) -> CheckRecord:
+def reduction_check(a: float, b: float,
+                    n_max: int = DEFAULTS["reduction_n_max"],
+                    tol: float = DEFAULTS["reduction_tol"]) -> CheckRecord:
     """alpha = 1 double sum against the classical recurrence oracle on a
     41-point grid; differences are relative to max(1, |reference|)."""
     p = Params(1.0, a, b)
@@ -393,17 +398,19 @@ _DEFAULT_SADDLE_GRID = ((1.0, 1.5, 2.0, 4.0),
 _DEFAULT_BIORTHO_CASES = ((1.5, 0.5, -0.3), (2.0, 0.0, 0.0), (3.0, 1.2, -0.5))
 
 
-def run_suite(suite: str, seed: int = 7, *, identity_samples: int = 1000,
-              scan_grid: int = 2000, biortho_n_max: int = 4,
-              biortho_tol: float = 1e-7, quad_tol: float = 1e-10,
-              reduction_n_max: int = 20,
-              reduction_tol: float = 1e-9) -> List[CheckRecord]:
-    """Run one named suite (or everything) with the default grids."""
+def run_suite(suite: str, seed: int = 7, **settings) -> List[CheckRecord]:
+    """Run one named suite (or everything); settings override
+    config.DEFAULTS by key."""
     if suite not in SUITE_NAMES:
         raise InputError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    unknown = sorted(set(settings) - set(DEFAULTS))
+    if unknown:
+        raise InputError(f"unknown settings {unknown}")
+    cfg = {**DEFAULTS, **settings}
+    scan_grid = cfg["scan_grid"]
     records: List[CheckRecord] = []
     if suite in ("all", "identities"):
-        records.extend(identity_suite(identity_samples, seed))
+        records.extend(identity_suite(cfg["identity_samples"], seed))
     if suite in ("all", "lemmas"):
         records.extend(saddle_and_concavity_check(_DEFAULT_SADDLE_GRID,
                                                   scan_grid=scan_grid))
@@ -418,11 +425,12 @@ def run_suite(suite: str, seed: int = 7, *, identity_samples: int = 1000,
             records.append(counterexample_scan(alpha))
     if suite in ("all", "biortho"):
         for alpha, a, b in _DEFAULT_BIORTHO_CASES:
-            for n in range(1, biortho_n_max + 1):
+            for n in range(1, cfg["biortho_n_max"] + 1):
                 records.append(biorthogonality_check(
-                    Params(alpha, a, b), n, biortho_tol, quad_tol))
+                    Params(alpha, a, b), n, cfg["biortho_tol"],
+                    cfg["quad_tol"]))
     if suite in ("all", "reduction"):
         for a, b in ((0.0, 0.0), (0.5, -0.3), (-0.5, 1.7)):
-            records.append(reduction_check(a, b, reduction_n_max,
-                                           reduction_tol))
+            records.append(reduction_check(a, b, cfg["reduction_n_max"],
+                                           cfg["reduction_tol"]))
     return records

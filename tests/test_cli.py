@@ -302,6 +302,55 @@ class TestTable:
         assert "K1 >= K0 + 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "5000", "--method", "asymptotic"],
+    # rows n = 8 .. 1024 fit; the table is not printed either
+    ["table", "--n-dyadic", "3..12", "--reference", "contour"],
+], ids=["asymptotic", "table"])
+def test_rho_n_beyond_double_range_exit_three(capsys, argv):
+    # rho = 1.51 > 1 at alpha = 0.5, theta = 1: rho^n overflows from n ~ 1716
+    code, out, err = run(capsys, *argv, "--alpha", "0.5", "--a", "0", "--b",
+                         "0", "--theta", "1.0", "--allow-unproven")
+    assert code == 3
+    assert out == ""
+    assert "double range" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def _record_field(name):
+    return lambda out: [json.loads(line)[name] for line in out.splitlines()]
+
+
+class TestSettings:
+    """Each config override changes what its consumer reports."""
+
+    @pytest.mark.parametrize("base, override, argv, read", [
+        ("biortho_n_max = 1\n", "biortho_tol = 1e-5\n",
+         ["verify", "--suite", "biortho"], _record_field("tolerance")),
+        ("biortho_n_max = 1\n", "quad_tol = 1e-4\n",
+         ["verify", "--suite", "biortho"], _record_field("witness")),
+        ("", "bisect_tol = 1e-3\n",
+         ["eval", "--alpha", "2", "--a", "0", "--b", "0", "--n", "4",
+          "--x", "0.3", "--method", "contour"],
+         lambda out: json.loads(out)["inputs"]["theta"]),
+        ("", "envelope_threshold = 0.0\n",
+         ["table", "--alpha", "2", "--a", "0", "--b", "0",
+          "--theta", str(PI / 3), "--n-dyadic", "3..7"],
+         lambda out: [line.split(",")[5]
+                      for line in out.strip().splitlines()[1:-1]]),
+    ], ids=["biortho_tol", "quad_tol", "bisect_tol", "envelope_threshold"])
+    def test_override_reaches_its_consumer(self, capsys, tmp_path, base,
+                                           override, argv, read):
+        reports = []
+        for text in (base, base + override):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(text)
+            code, out, _ = run(capsys, *argv, "--config", str(cfg))
+            assert code == 0
+            reports.append(read(out))
+        assert reports[0] != reports[1]
+
+
 class TestContourDump:
     def test_unit_circle(self, capsys):
         code, out, _ = run(capsys, "contour-dump", "--alpha", "1",
