@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .config import DEFAULTS
-from .errors import InputError, ScopeError
+from .errors import ConvergenceError, InputError, ScopeError
 from .numerics import fit_loglog_slope, times_exp
 from .phase import SaddleData, saddle_data, sine_ratio, x_of_theta
 from .polys import Params, eval_biortho
@@ -81,8 +81,8 @@ def darboux_biortho(p: Params, n: int, theta: float,
 
 def darboux_classical(a: float, b: float, n: int, theta: float) -> float:
     """Classical Jacobi leading term with N = n + (a+b+1)/2."""
-    if not (a > -1.0 and b > -1.0):
-        raise InputError("darboux_classical requires a, b > -1")
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+        raise InputError("darboux_classical requires finite a, b > -1")
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
     if not (0.0 < theta < math.pi):
@@ -139,9 +139,9 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
 
     reference_mode: "exact" (double sum), "contour", or "auto".  Every n
     produces a row; rows failing the envelope filter keep their data but are
-    excluded from the slope fit.  Fewer than three kept rows raises
-    ValueError; a row whose rho^n (rho > 1 at alpha < 1) takes the reference
-    or the asymptotic value beyond the double range raises ScopeError.
+    excluded from the slope fit.  Fewer than three kept rows raise
+    ConvergenceError; a row whose rho^n (rho > 1 at alpha < 1) takes a value
+    beyond the double range raises ScopeError.
     """
     if p.alpha < 1.0 and not allow_unproven:
         raise ScopeError(
@@ -177,7 +177,7 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
     kept = [(row.n, row.rel_err) for row in rows
             if row.envelope_ok and row.rel_err > 0.0]
     if len(kept) < 3:
-        raise ValueError(
+        raise ConvergenceError(
             f"convergence_table: only {len(kept)} envelope-kept rows; "
             "need at least 3 for a slope fit")
     slope = fit_loglog_slope(kept)

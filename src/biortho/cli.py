@@ -11,10 +11,9 @@ Subcommands:
 Exit codes, chosen by exception type: 0 success, 1 verification failure,
 2 usage, input or config error (InputError, OSError, argparse), 3 scope
 error (ScopeError: alpha < 1 asymptotics without --allow-unproven, exact
-coefficients beyond the double range, where --method contour applies, or a
-contour value, an asymptotic term or a table row whose rho^n takes it beyond
-that range), 4 numerical failure (ConvergenceError or any other
-ValueError).
+coefficients beyond the double range, where --method contour applies, or
+saddle data, a contour value, an asymptotic term or a table row beyond that
+range), 4 numerical failure (ConvergenceError); no other exception is caught.
 """
 
 from __future__ import annotations
@@ -137,6 +136,8 @@ def _cmd_eval(args, config: dict) -> int:
         result = eval_biortho(p, args.n, x)
         record["value"] = result.value
         record["condition_estimate"] = result.condition_estimate
+        record["error_bound"] = result.error_bound
+        record["reliable"] = result.reliable
     else:
         theta = args.theta if args.theta is not None else \
             theta_of_x(p, args.x, config["bisect_tol"])
@@ -280,7 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ScopeError as exc:
         sys.stderr.write(f"biortho: {exc}\n")
         return EXIT_SCOPE
-    except (ConvergenceError, ValueError) as exc:
+    except ConvergenceError as exc:
         sys.stderr.write(f"biortho: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -4,9 +4,10 @@ DEFAULTS is the only place a default is written.  The library's keyword
 defaults read their values from it, so a library call that leaves a setting
 out runs with the value the CLI uses without a config file.  A config file
 of `key = value` lines (path via --config or the BIORTHO_CONFIG environment
-variable) overrides any of them; each value is parsed by the type of its
-default, and unknown keys and values that do not parse are rejected with
-InputError.
+variable; blank lines and '#' comments are ignored) overrides any of them.
+Each value is parsed by the type of its default; an unknown or repeated key
+and a value that does not parse are rejected with an InputError that names
+the line.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ DEFAULTS: Dict[str, float] = {
 }
 
 
-def parse_config_file(path: str) -> Dict[str, str]:
-    """Read `key = value` lines; blank lines and '#' comments are ignored."""
-    overrides: Dict[str, str] = {}
+def load_config(path: str | None) -> Dict[str, float]:
+    """DEFAULTS with the overrides of the config file at path, if any: each
+    line is parsed as it is read, so the first bad line is the one reported."""
+    overrides: Dict[str, float] = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text() if path else ""
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a text file ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -45,21 +47,15 @@ def parse_config_file(path: str) -> Dict[str, str]:
             continue
         if "=" not in stripped:
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        overrides[key] = value
-    return overrides
-
-
-def load_config(path: str | None) -> Dict[str, float]:
-    """DEFAULTS with the overrides of the config file at path, if any."""
-    config = dict(DEFAULTS)
-    for key, raw in (parse_config_file(path) if path else {}).items():
+        key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in DEFAULTS:
-            raise InputError(f"unknown config key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise InputError(f"{path}:{lineno}: repeated config key {key!r}")
         kind = type(DEFAULTS[key])
         try:
-            config[key] = kind(raw)
+            overrides[key] = kind(raw)
         except ValueError:
-            raise InputError(f"config value {raw!r} of {key!r} is not "
-                             f"a valid {kind.__name__}") from None
-    return config
+            raise InputError(f"{path}:{lineno}: {key} = {raw!r} is not a "
+                             f"valid {kind.__name__}") from None
+    return {**DEFAULTS, **overrides}

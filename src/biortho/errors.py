@@ -1,8 +1,5 @@
-"""Exception types shared across the package; the CLI maps each to an exit code.
-
-A plain ValueError that is none of these means a computation failed on valid
-input (a pole hit, a vanished denominator) and counts as a numerical failure.
-"""
+"""The three exception types of the package, one per failure class; the CLI
+maps each to an exit code.  The library raises no other on purpose."""
 
 
 class InputError(ValueError):
@@ -11,10 +8,12 @@ class InputError(ValueError):
 
 class ScopeError(Exception):
     """Raised when an input lies outside a method's range: an asymptotic formula
-    outside its proven range, or exact coefficients or a contour value beyond
-    the double range."""
+    outside its proven range, saddle data, exact coefficients or a contour
+    value beyond the double range."""
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a quadrature refinement stalls above the requested tolerance
-    or exceeds its evaluation budget."""
+    """Raised when a computation fails on input in range: a quadrature stalls
+    or exceeds its evaluation budget, a node hits the integrand's pole, the
+    phase derivative's denominator vanishes, or a convergence table keeps too
+    few rows for a slope fit."""

@@ -1,9 +1,9 @@
 """Scalar and double-width numeric kernels shared by all modules.
 
-Provides principal-branch complex powers, a range-checked value * e^x,
-bracketed bisection, Richardson-extrapolated central finite differences,
-least-squares slope fitting, and a small set of vectorized double-double
-primitives used by the polynomial evaluators.
+Provides a range-checked value * e^x, bracketed bisection,
+Richardson-extrapolated central finite differences, least-squares slope
+fitting, and a small set of vectorized double-double primitives used by the
+polynomial evaluators.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -11,37 +11,22 @@ number of threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ScopeError
+from .errors import InputError, ScopeError
 
 # exp() underflows to zero below this exponent; nodes beyond it are dead
 DEAD_LOG = -745.0
 
 __all__ = [
-    "complex_pow_principal",
     "fd_derivative",
     "find_root_bisect",
     "fit_loglog_slope",
     "times_exp",
 ]
-
-
-def complex_pow_principal(z: complex, p: float) -> complex:
-    """z**p as exp(p * Log z) with the principal logarithm.
-
-    The argument of Log lies in (-pi, pi].  z = 0 is allowed only for p > 0.
-    """
-    z = complex(z)
-    if z == 0:
-        if p > 0:
-            return 0.0 + 0.0j
-        raise ValueError("complex_pow_principal: zero base with p <= 0")
-    return cmath.exp(p * cmath.log(z))
 
 
 def times_exp(value: float, exponent: float, what: str,
@@ -68,7 +53,7 @@ def find_root_bisect(f: Callable[[float], float], lo: float, hi: float,
     deterministic; no derivative estimates.
     """
     if not (lo < hi):
-        raise ValueError("find_root_bisect: need lo < hi")
+        raise InputError("find_root_bisect: need lo < hi")
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -76,7 +61,7 @@ def find_root_bisect(f: Callable[[float], float], lo: float, hi: float,
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("find_root_bisect: f(lo) and f(hi) have the same sign")
+        raise InputError("find_root_bisect: f(lo) and f(hi) have the same sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -102,7 +87,7 @@ def fd_derivative(f: Callable[[float], complex], x: float, order: int) -> comple
     array when f takes arrays elementwise.
     """
     if order not in (1, 2, 3):
-        raise ValueError(f"fd_derivative: order must be 1, 2 or 3, got {order}")
+        raise InputError(f"fd_derivative: order must be 1, 2 or 3, got {order}")
     h = _FD_BASE_STEP[order] * np.maximum(1.0, np.abs(x))
     d1 = _central_difference(f, x, h, order)
     d2 = _central_difference(f, x, 0.5 * h, order)
@@ -126,13 +111,13 @@ def fit_loglog_slope(rows: Sequence[Tuple[int, float]]) -> float:
     """
     rows = list(rows)
     if len(rows) < 3:
-        raise ValueError("fit_loglog_slope: need at least 3 rows")
+        raise InputError("fit_loglog_slope: need at least 3 rows")
     ns = np.array([float(n) for n, _ in rows])
     errs = np.array([float(e) for _, e in rows])
     if np.any(np.diff(ns) <= 0.0):
-        raise ValueError("fit_loglog_slope: n must be strictly increasing")
+        raise InputError("fit_loglog_slope: n must be strictly increasing")
     if np.any(errs <= 0.0):
-        raise ValueError("fit_loglog_slope: errors must be positive")
+        raise InputError("fit_loglog_slope: errors must be positive")
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     return float(slope)
 

@@ -26,14 +26,14 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import InputError
-from .numerics import DEAD_LOG, complex_pow_principal, find_root_bisect
+from .errors import ConvergenceError, InputError, ScopeError
+from .numerics import DEAD_LOG, find_root_bisect
 from .polys import Params
 
 __all__ = [
@@ -167,6 +167,23 @@ def theta_major_prime(alpha: float, t):
     return _like(_major_prime(alpha, ts, *_major(alpha, ts)[1:]), alpha, t)
 
 
+def _saddle_scope(fn):
+    """fn(alpha or p, theta), with OverflowError, ZeroDivisionError and a
+    non-finite value raised as ScopeError (beyond the double range)."""
+    @wraps(fn)
+    def guarded(first, theta):
+        try:
+            value = fn(first, theta)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if not cmath.isfinite(value):
+            raise ScopeError(f"{fn.__name__} at theta={theta!r} lies beyond "
+                             "the double range")
+        return value
+    return guarded
+
+
+@_saddle_scope
 def sine_ratio(alpha: float, theta: float) -> float:
     """Geometric decay factor sin((pi-t)/(1+alpha)) / sin((pi-t)/(1+1/alpha))."""
     alpha = _check_alpha(alpha)
@@ -316,7 +333,7 @@ def _integrand_parts(p: Params, theta: float, phi):
     e = np.exp(-1j * fr.z)
     den = fr.big ** p.alpha * e - at.s
     if (den == 0).any():
-        raise ValueError("integrand pole hit (xi(phi) == t(theta))")
+        raise ConvergenceError("integrand pole hit (xi(phi) == t(theta))")
     return at, fr, e, den
 
 
@@ -429,7 +446,7 @@ def f_prime(p: Params, theta: float, phi):
     low = (alpha * (2.0 * head) * (1.0 - big * np.exp(-1j * fr.y))
            * (-2.0 * (head - s_theta)))
     if (low == 0).any():
-        raise ValueError("f_prime: denominator vanished")
+        raise ConvergenceError("f_prime: denominator vanished")
     return _like(upp / low * _xi_prime(alpha, fr, e), phi)
 
 
@@ -463,15 +480,17 @@ def _saddle_factors(p: Params, theta: float):
     return at, lower, dens
 
 
+@_saddle_scope
 def g_at_saddle(p: Params, theta: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     alpha, a, b = p.alpha, p.a, p.b
     at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
     num = (cmath.exp(-1j * (_PI + at.y * (a + b + 1.0 - alpha)))
-           * complex_pow_principal(at.upper, b) * lower * at.xi_prime)
+           * cmath.exp(b * cmath.log(at.upper)) * lower * at.xi_prime)
     return num / (2.0 * at.big ** alpha * d1 * d2 * d3)
 
 
+@_saddle_scope
 def f_second_at_saddle(p: Params, theta: float) -> complex:
     theta = _check_angle_open(theta, "theta")
     alpha = p.alpha
@@ -482,13 +501,14 @@ def f_second_at_saddle(p: Params, theta: float) -> complex:
             / at.upper)
 
 
+@_saddle_scope
 def m_alpha(p: Params, theta: float) -> complex:
     """n-free amplitude of the Darboux-type leading term."""
     theta = _check_angle_open(theta, "theta")
     a, b = p.a, p.b
     at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
     num = (cmath.exp(-1j * (_PI / 2.0 + at.y * (a + b + 1.0)))
-           * complex_pow_principal(at.upper, b + 0.5) * lower)
+           * cmath.exp((b + 0.5) * cmath.log(at.upper)) * lower)
     return num / (math.sqrt(at.big) * d1 * d2 * d3)
 
 

@@ -37,7 +37,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, ScopeError
 from .numerics import DEAD_LOG, times_exp
 from .phase import contour_integrand, f_at_saddle, g_at_saddle, f_second_at_saddle
 from .polys import Params
@@ -293,10 +293,10 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     branch points) and n >= 1.  Raises ConvergenceError when the next
     integrand call would take the call over _MAX_EVALUATIONS evaluations (a
     tol below the rounding floor ends there) or when an integrand value of a
-    level the rule uses is not finite, ValueError when a node of an
-    integrand call, used or not, hits the integrand's pole, and ScopeError
-    when scaled=False and rho^n, the value or its error estimate leaves the
-    double range.
+    level the rule uses is not finite or a node of an integrand call, used
+    or not, hits the integrand's pole, and ScopeError when every integrand
+    value underflows or when scaled=False and rho^n, the value or its error
+    estimate leaves the double range.
     """
     if n != int(n) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")
@@ -341,6 +341,9 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
         if level and err_total <= tol * scale:
             break
         h *= 0.5
+    if l1_total == 0.0:
+        raise ScopeError(f"rodrigues_contour_eval: every integrand value "
+                         f"underflows at n={n}, theta={theta!r}")
 
     # P_n = rho^n * Re{e^{i n theta} J / (pi i)} with J the scaled integral
     phase_factor = cmath.exp(1j * n * theta)

@@ -10,7 +10,7 @@ from biortho.asymptotics import (
     darboux_classical,
     envelope_bound,
 )
-from biortho.errors import ScopeError
+from biortho.errors import ConvergenceError, ScopeError
 from biortho.numerics import fit_loglog_slope
 from biortho.polys import Params, eval_jacobi_recurrence
 from biortho.quadrature import rodrigues_contour_eval
@@ -118,7 +118,7 @@ class TestConvergenceTable:
         assert -1.3 <= report.slope <= -0.7
 
     def test_insufficient_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConvergenceError):
             convergence_table(Params(1.0, 0.0, 0.0), PI / 2, [8, 16], "contour")
 
     def test_scope(self):

@@ -6,7 +6,7 @@ import pytest
 
 from biortho import cli
 from biortho.cli import main
-from biortho.errors import InputError
+from biortho.errors import ConvergenceError, InputError, ScopeError
 
 PI = math.pi
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_all_seed7.jsonl"
@@ -28,6 +28,19 @@ class TestEval:
         assert record["method"] == "exact"
         assert record["condition_estimate"] == 1.0
         assert record["inputs"]["n"] == 0
+
+    def test_exact_states_its_accuracy(self, capsys):
+        # the double-double sum is far from correctly rounded here, and the
+        # record says so next to the condition estimate
+        code, out, _ = run(capsys, "eval", "--alpha", "2", "--a", "0.5",
+                           "--b=-0.3", "--n", "64", "--x", "0.258",
+                           "--method", "exact")
+        assert code == 0
+        record = json.loads(out)
+        assert record["reliable"] is False
+        assert record["error_bound"] == pytest.approx(2.2e-9, rel=0.01)
+        bound = 3 * 64 * 66 * 2.0 ** -104 * record["condition_estimate"]
+        assert record["error_bound"] == pytest.approx(bound, rel=1e-15)
 
     def test_scope_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "--alpha", "0.5", "--a", "0",
@@ -132,7 +145,8 @@ class TestEval:
         (InputError("bad input"), 2),
         (OSError("no file"), 2),
         # a message that reads like a usage error still counts as numerical
-        (ValueError("x must be > 0, got 0; need a value"), 4),
+        (ConvergenceError("x must be > 0, got 0; need a value"), 4),
+        (ScopeError("beyond the double range"), 3),
     ])
     def test_exit_code_follows_exception_type(self, capsys, monkeypatch,
                                               exc, code):
@@ -203,6 +217,21 @@ class TestVerify:
             code, _, err = run(capsys, "verify", "--suite", "identities",
                                "--config", str(cfg))
             assert code == 2, line
+            assert message in err
+
+    def test_repeated_config_key(self, capsys, tmp_path):
+        # each line is parsed as it is read: a bad value is reported even
+        # when a good one for the same key follows, and a repeat is refused
+        cfg = tmp_path / "cfg.txt"
+        for text, message in (("quad_tol = abc\nquad_tol = 1e-9\n",
+                               ":1: quad_tol = 'abc' is not a valid float"),
+                              ("quad_tol = 1e-9\nquad_tol = 1e-9\n",
+                               ":2: repeated config key 'quad_tol'")):
+            cfg.write_text(text)
+            code, out, err = run(capsys, "verify", "--suite", "identities",
+                                 "--config", str(cfg))
+            assert code == 2, text
+            assert out == ""
             assert message in err
 
     def test_determinism(self, tmp_path):

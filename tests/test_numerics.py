@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from biortho.numerics import (
-    complex_pow_principal,
     dd_add,
     dd_div,
     dd_mul,
@@ -16,37 +13,6 @@ from biortho.numerics import (
     find_root_bisect,
     fit_loglog_slope,
 )
-
-
-class TestComplexPow:
-    def test_identity(self):
-        assert complex_pow_principal(1.0 + 0j, 0.37) == pytest.approx(1.0)
-
-    def test_principal_sqrt_of_minus_one(self):
-        assert complex_pow_principal(-1.0 + 0.0j, 0.5) == pytest.approx(1j)
-
-    def test_argument_doubling(self):
-        z = complex(math.cos(-math.pi / 3), math.sin(-math.pi / 3))
-        expected = complex(math.cos(-2 * math.pi / 3), math.sin(-2 * math.pi / 3))
-        assert complex_pow_principal(z, 2.0) == pytest.approx(expected)
-
-    def test_zero_base(self):
-        assert complex_pow_principal(0j, 2.0) == 0j
-        with pytest.raises(ValueError):
-            complex_pow_principal(0j, -1.0)
-
-    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-           st.floats(0.05, 3.0), st.floats(-3.0, 3.0))
-    @settings(max_examples=60, deadline=None)
-    def test_exponent_additivity(self, p, q, r, arg):
-        # z^p z^q = z^(p+q) while the factor arguments stay inside one branch
-        if abs(p * arg) > math.pi or abs(q * arg) > math.pi or \
-                abs((p + q) * arg) > math.pi:
-            return
-        z = r * complex(math.cos(arg), math.sin(arg))
-        lhs = complex_pow_principal(z, p) * complex_pow_principal(z, q)
-        rhs = complex_pow_principal(z, p + q)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 class TestBisect:
