@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError, ScopeError
+from .errors import (ConvergenceError, InputError, ScopeError, check_angle,
+                     check_degree)
 from .numerics import fit_loglog_slope, times_exp
 from .phase import SaddleData, saddle_data, sine_ratio, x_of_theta
 from .polys import Params, eval_biortho
@@ -72,21 +73,16 @@ def darboux_biortho(p: Params, n: int, theta: float,
         raise ScopeError(
             f"darboux_biortho is proven only for alpha >= 1 (got alpha="
             f"{p.alpha}); pass allow_unproven=True to evaluate anyway")
-    if n != int(n) or n < 1:
-        raise InputError(f"degree must be a positive integer, got {n!r}")
+    n = check_degree(n, 1)
     scaled_value, _, _, log_rho = _leading_parts(p, saddle_data(p, theta),
-                                                 int(n), theta)
+                                                 n, theta)
     return times_exp(scaled_value, n * log_rho, "darboux_biortho")
 
 
 def darboux_classical(a: float, b: float, n: int, theta: float) -> float:
     """Classical Jacobi leading term with N = n + (a+b+1)/2."""
-    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-        raise InputError("darboux_classical requires finite a, b > -1")
-    if n != int(n) or n < 1:
-        raise InputError(f"degree must be a positive integer, got {n!r}")
-    if not (0.0 < theta < math.pi):
-        raise InputError(f"theta must lie in (0, pi), got {theta!r}")
+    Params(1.0, a, b)
+    n, theta = check_degree(n, 1), check_angle(theta, "theta")
     big_n = n + 0.5 * (a + b + 1.0)
     return (math.sin(0.5 * theta) ** (-a - 0.5)
             * math.cos(0.5 * theta) ** (-b - 0.5)
@@ -124,9 +120,15 @@ class RateReport:
 
 def _scaled_reference(p: Params, n: int, theta: float, mode: str,
                       contour_tol: float, log_rho: float) -> float:
+    """P_n(x(theta)) / rho^n; an exact value that is not reliable raises
+    ScopeError in "exact" mode and gives way to the contour in "auto" mode."""
     if mode == "exact" or (mode == "auto" and n <= _EXACT_REFERENCE_MAX_N):
-        value = eval_biortho(p, n, x_of_theta(p, theta)).value
-        return value * math.exp(-n * log_rho)
+        result = eval_biortho(p, n, x_of_theta(p, theta))
+        if result.reliable:
+            return result.value * math.exp(-n * log_rho)
+        if mode == "exact":
+            raise ScopeError(f"convergence_table: the exact reference at n={n}"
+                             " is not reliable; use the contour reference")
     return rodrigues_contour_eval(p, n, theta, contour_tol, scaled=True).value
 
 
@@ -149,7 +151,7 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
             "pass allow_unproven=True for exploratory alpha < 1 runs")
     if reference_mode not in ("exact", "contour", "auto"):
         raise InputError(f"unknown reference_mode {reference_mode!r}")
-    n_list = [int(n) for n in n_list]
+    n_list = [check_degree(n, 1) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("n_list must be strictly increasing")
     sd = saddle_data(p, theta)
@@ -194,7 +196,7 @@ def envelope_bound(p: Params, theta: float, n_list: Sequence[int], *,
     """
     if p.alpha < 1.0:
         raise ScopeError("envelope_bound applies to the proven range alpha >= 1")
-    n_list = [int(n) for n in n_list]
+    n_list = [check_degree(n, 1) for n in n_list]
     log_rho = math.log(sine_ratio(p.alpha, theta))
     rows = []
     for n in n_list:

@@ -8,12 +8,12 @@ Subcommands:
   contour-dump  plot data: contour points, T-profiles, or the saddle
                 partition of the contour
 
-Exit codes, chosen by exception type: 0 success, 1 verification failure,
-2 usage, input or config error (InputError, OSError, argparse), 3 scope
-error (ScopeError: alpha < 1 asymptotics without --allow-unproven, exact
-coefficients beyond the double range, where --method contour applies, or
-saddle data, a contour value, an asymptotic term or a table row beyond that
-range), 4 numerical failure (ConvergenceError); no other exception is caught.
+Exit codes, by exception type: 0 success, 1 verification failure, 2 usage,
+input or config error (InputError, OSError, argparse), 3 scope error
+(ScopeError: alpha < 1 asymptotics without --allow-unproven, exact coefficients
+or an unreliable exact reference (use the contour), or saddle data, contour
+values, points or T, an asymptotic term or a table row beyond the double
+range), 4 numerical failure (ConvergenceError); nothing else is caught.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import convergence_table, darboux_biortho
 from .config import load_config
-from .errors import ConvergenceError, InputError, ScopeError
+from .errors import (ConvergenceError, InputError, ScopeError, check_angle,
+                     check_degree)
 from .phase import contour_point, t_modulus, theta_of_x, x_of_theta
 from .polys import Params, eval_biortho
 from .quadrature import rodrigues_contour_eval
@@ -241,13 +242,11 @@ def _cmd_contour_dump(args, config: dict) -> int:
     else:
         if args.theta is None or args.n is None:
             raise InputError("--what partition requires --theta and --n")
-        if not (0.0 < args.theta < _PI and args.n >= 1):
-            raise InputError("--what partition requires --theta in (0, pi) "
-                             "and --n >= 1")
+        theta = check_angle(args.theta, "--theta")
         if not (0.0 < args.delta < 0.5):
             raise InputError("--delta must lie in (0, 0.5)")
-        half_width = float(args.n) ** (-0.5 + args.delta)
-        lo, hi = args.theta - half_width, args.theta + half_width
+        half_width = float(check_degree(args.n, 1)) ** (-0.5 + args.delta)
+        lo, hi = theta - half_width, theta + half_width
         lines.append("phi,re_xi,im_xi,segment")
         phis = [(i + 1) * _PI / (args.points + 1) for i in range(args.points)]
         xi = contour_point(p, np.array(phis)).xi

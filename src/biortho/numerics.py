@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, ScopeError
+from .errors import InputError, ScopeError, check_tol
 
 # exp() underflows to zero below this exponent; nodes beyond it are dead
 DEAD_LOG = -745.0
@@ -52,6 +52,7 @@ def find_root_bisect(f: Callable[[float], float], lo: float, hi: float,
     Returns the bracket midpoint once the bracket width is <= tol.  Fully
     deterministic; no derivative estimates.
     """
+    check_tol(tol)
     if not (lo < hi):
         raise InputError("find_root_bisect: need lo < hi")
     flo = f(lo)

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError, ScopeError
+from .errors import ConvergenceError, InputError, ScopeError, check_angle
 from .numerics import DEAD_LOG, find_root_bisect
 from .polys import Params
 
@@ -49,7 +49,6 @@ __all__ = [
     "f_second_at_saddle",
     "g_amplitude",
     "g_at_saddle",
-    "lambda_of_phi",
     "m_alpha",
     "phi_star",
     "sine_ratio",
@@ -76,23 +75,6 @@ def _check_alpha(alpha):
     return checked if checked.ndim else float(checked)
 
 
-def _check_angle_open(t: float, name: str = "angle") -> float:
-    t = float(t)
-    if not (0.0 < t < _PI):
-        raise InputError(f"{name} must lie in (0, pi), got {t!r}")
-    return t
-
-
-def _check_angles_open(t, name: str = "angle") -> np.ndarray:
-    # t as a float array of at least one dimension, every entry in (0, pi)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    inside = (t > 0.0) & (t < _PI)
-    if not inside.all():
-        bad = float(t[~inside][0])
-        raise InputError(f"{name} must lie in (0, pi), got {bad!r}")
-    return t
-
-
 def _like(values: np.ndarray, *inputs):
     # values as the caller gave its inputs: a Python scalar when every input
     # is a float, else the array
@@ -106,7 +88,7 @@ def _with_limits(t, name: str, limits: dict, fn) -> np.ndarray:
     inner = (ts > 0.0) & (ts < _PI)
     if inner.all():
         return fn(ts)
-    _check_angles_open(ts[~np.isin(ts, list(limits))], name)
+    check_angle(ts[~np.isin(ts, list(limits))], name)
     values = fn(np.where(inner, ts, 0.5 * _PI))
     for end, limit in limits.items():
         values = np.where(ts == end, limit, values)
@@ -163,15 +145,16 @@ def theta_major_prime(alpha: float, t):
     """Analytic derivative of theta_major in t, a float or an array of
     angles in (0, pi)."""
     alpha = _check_alpha(alpha)
-    ts = _check_angles_open(t)
+    ts = np.atleast_1d(check_angle(t))
     return _like(_major_prime(alpha, ts, *_major(alpha, ts)[1:]), alpha, t)
 
 
 def _saddle_scope(fn):
-    """fn(alpha or p, theta), with OverflowError, ZeroDivisionError and a
-    non-finite value raised as ScopeError (beyond the double range)."""
+    """fn(alpha or p, checked theta), with OverflowError, ZeroDivisionError
+    and a non-finite value raised as ScopeError (beyond the double range)."""
     @wraps(fn)
     def guarded(first, theta):
+        theta = check_angle(theta, "theta")
         try:
             value = fn(first, theta)
         except (OverflowError, ZeroDivisionError):
@@ -187,7 +170,6 @@ def _saddle_scope(fn):
 def sine_ratio(alpha: float, theta: float) -> float:
     """Geometric decay factor sin((pi-t)/(1+alpha)) / sin((pi-t)/(1+1/alpha))."""
     alpha = _check_alpha(alpha)
-    theta = _check_angle_open(theta, "theta")
     y = (_PI - theta) / (1.0 + alpha)
     return math.sin(y) / math.sin(alpha * y)
 
@@ -301,20 +283,28 @@ def contour_point(p: Params, phi) -> ContourPoint:
     the contour passes through +1 / -1 and the derivative is undefined:
     None for a float phi, NaN in an array.  For phi < 0 the reported
     xi_prime is the actual parameter derivative of the conjugate branch.
+    ScopeError where xi or xi_prime leaves the double range.
     """
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
     inside = (phis >= -_PI) & (phis <= _PI)
     if not inside.all():
         bad = float(phis[~inside][0])
         raise InputError(f"phi must lie in [-pi, pi], got {bad!r}")
-    alpha = p.alpha
-    size = np.abs(phis)
+    alpha, size = p.alpha, np.abs(phis)
     inner = (size > 0.0) & (size < _PI)  # +pi names the same point as -pi
-    fr = _frame(alpha, np.where(inner, size, 0.5 * _PI))
-    e = np.exp(-1j * fr.z)
-    xi = np.where(inner, 1.0 - 2.0 * fr.big ** alpha * e,
-                  np.where(size == 0.0, 1.0, -1.0))
-    prime = np.where(inner, _xi_prime(alpha, fr, e), np.nan)
+    try:
+        with np.errstate(all="ignore"):
+            fr = _frame(alpha, np.where(inner, size, 0.5 * _PI))
+            e = np.exp(-1j * fr.z)
+            xi = np.where(inner, 1.0 - 2.0 * fr.big ** alpha * e,
+                          np.where(size == 0.0, 1.0, -1.0))
+            prime = _xi_prime(alpha, fr, e)
+    except (OverflowError, ZeroDivisionError):
+        xi = prime = np.array(np.nan)
+    if not (np.isfinite(xi).all() and np.isfinite(prime).all()):
+        raise ScopeError(f"contour_point at alpha={alpha!r} lies beyond the "
+                         "double range")
+    prime = np.where(inner, prime, np.nan)
     lower = inner & (phis < 0.0)
     xi = np.where(lower, xi.conj(), xi)
     prime = np.where(lower, -prime.conj(), prime)
@@ -328,8 +318,8 @@ def _integrand_parts(p: Params, theta: float, phi):
     """What f and g both read at the angles phi, once checked: the theta
     data, the frame, e^{-iz} and den = big^alpha e^{-iz} - s(theta)
     (Im < 0), which must not vanish (a pole of the integrand)."""
-    at = _at_theta(p.alpha, _check_angle_open(theta, "theta"))
-    fr = _frame(p.alpha, _check_angles_open(phi, "phi"))
+    at = _at_theta(p.alpha, check_angle(theta, "theta"))
+    fr = _frame(p.alpha, np.atleast_1d(check_angle(phi, "phi")))
     e = np.exp(-1j * fr.z)
     den = fr.big ** p.alpha * e - at.s
     if (den == 0).any():
@@ -409,18 +399,25 @@ def t_modulus(p: Params, theta: float, phi):
     """Squared modulus of e^{f} from its trigonometric closed form.
 
     phi is a float or an array of angles in (0, pi), as for f_phase; the
-    monotonicity scan passes its whole grid at once.
+    monotonicity scan passes its whole grid at once.  ScopeError where T
+    leaves the double range.
     """
-    theta = _check_angle_open(theta, "theta")
-    phis = _check_angles_open(phi, "phi")
-    alpha = p.alpha
-    fr = _frame(alpha, phis)
-    head = fr.big ** alpha
-    # den = |head e^{-iz} - s(theta)|^2 from its real and imaginary parts:
-    # expanded, it cancels as phi -> pi when theta is near pi
-    gap = head * np.cos(fr.z) - _at_theta(alpha, theta).s
-    den = gap * gap + (head * np.sin(fr.z)) ** 2
-    return _like(fr.big ** (2.0 * alpha) * _l_value(fr.upper) / den, phi)
+    theta, alpha = check_angle(theta, "theta"), p.alpha
+    try:
+        with np.errstate(all="ignore"):
+            fr = _frame(alpha, np.atleast_1d(check_angle(phi, "phi")))
+            head = fr.big ** alpha
+            # den = |head e^{-iz} - s(theta)|^2 from its real and imaginary
+            # parts: expanded, it cancels as phi -> pi when theta is near pi
+            gap = head * np.cos(fr.z) - _at_theta(alpha, theta).s
+            den = gap * gap + (head * np.sin(fr.z)) ** 2
+            values = fr.big ** (2.0 * alpha) * _l_value(fr.upper) / den
+    except (OverflowError, ZeroDivisionError):
+        values = np.array(np.nan)
+    if not np.isfinite(values).all():
+        raise ScopeError(f"t_modulus at alpha={alpha!r}, theta={theta!r} lies "
+                         "beyond the double range")
+    return _like(values, phi)
 
 
 def f_prime(p: Params, theta: float, phi):
@@ -433,9 +430,8 @@ def f_prime(p: Params, theta: float, phi):
     operations as s(phi), so the saddle residual at phi = theta cancels
     exactly instead of by floating-point luck.
     """
-    theta = _check_angle_open(theta, "theta")
-    phis = _check_angles_open(phi, "phi")
-    alpha = p.alpha
+    theta, alpha = check_angle(theta, "theta"), p.alpha
+    phis = np.atleast_1d(check_angle(phi, "phi"))
     fr = _frame(alpha, phis)
     big, e = fr.big, np.exp(-1j * fr.z)
     s_theta = _s_value(alpha, np.array([theta]))
@@ -462,7 +458,6 @@ class SaddleData:
 
 
 def f_at_saddle(p: Params, theta: float) -> complex:
-    theta = _check_angle_open(theta, "theta")
     return complex(math.log(sine_ratio(p.alpha, theta)), theta)
 
 
@@ -482,7 +477,6 @@ def _saddle_factors(p: Params, theta: float):
 
 @_saddle_scope
 def g_at_saddle(p: Params, theta: float) -> complex:
-    theta = _check_angle_open(theta, "theta")
     alpha, a, b = p.alpha, p.a, p.b
     at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
     num = (cmath.exp(-1j * (_PI + at.y * (a + b + 1.0 - alpha)))
@@ -492,7 +486,6 @@ def g_at_saddle(p: Params, theta: float) -> complex:
 
 @_saddle_scope
 def f_second_at_saddle(p: Params, theta: float) -> complex:
-    theta = _check_angle_open(theta, "theta")
     alpha = p.alpha
     at = _at_theta(alpha, theta)
     return ((1.0 + alpha) / (4.0 * alpha * alpha)
@@ -504,7 +497,6 @@ def f_second_at_saddle(p: Params, theta: float) -> complex:
 @_saddle_scope
 def m_alpha(p: Params, theta: float) -> complex:
     """n-free amplitude of the Darboux-type leading term."""
-    theta = _check_angle_open(theta, "theta")
     a, b = p.a, p.b
     at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
     num = (cmath.exp(-1j * (_PI / 2.0 + at.y * (a + b + 1.0)))
@@ -593,7 +585,7 @@ def structure_functions(alpha: float, phi) -> StructureBundle:
     """The structure functions at phi, a float or an array of angles in
     (0, pi); the claim scan passes its whole grid at once."""
     alpha = _check_alpha(alpha)
-    phis = _check_angles_open(phi, "phi")
+    phis = np.atleast_1d(check_angle(phi, "phi"))
     fr = _frame(alpha, phis)
     big, z, cy = fr.big, fr.z, fr.cy
     sy = fr.upper.imag
@@ -628,8 +620,3 @@ def structure_functions(alpha: float, phi) -> StructureBundle:
         fields["h"] = None
     return StructureBundle(**fields)
 
-
-def lambda_of_phi(alpha: float, phi):
-    """The structure function lambda at phi, a float or an array of angles
-    in (0, pi)."""
-    return structure_functions(alpha, phi).lambda_low

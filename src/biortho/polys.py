@@ -27,7 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InputError, ScopeError
+from .errors import InputError, ScopeError, check_degree
 from .numerics import dd_add, dd_div, dd_mul, dd_pow, dd_two_sum
 
 __all__ = [
@@ -35,9 +35,7 @@ __all__ = [
     "EvalResult",
     "eval_biortho",
     "eval_biortho_grid",
-    "eval_jacobi_rep",
     "jacobi_rep_grid",
-    "eval_jacobi_recurrence",
     "jacobi_recurrence_grid",
     "normalization_at_one",
     "chu_vandermonde_sides",
@@ -80,12 +78,6 @@ class EvalResult:
     @property
     def reliable(self) -> bool:
         return self.error_bound <= _RELIABLE_ERROR
-
-
-def _validate_degree(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise InputError(f"degree must be a non-negative integer, got {n!r}")
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +213,13 @@ def _jacobi_table(a: float, b: float, n: int):
     return t_h, t_l
 
 
+def _unit_points(xs, what: str) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.abs(xs) <= 1.0):  # also rejects NaN
+        raise InputError(f"{what} requires |x| <= 1")
+    return xs
+
+
 def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
     """Double-double sum_r coef[r] u^r w^(n-r), u = (1-x)/2, w = (1+x)/2,
     and its condition: largest |term| over |value| (inf at a zero value,
@@ -258,10 +257,7 @@ def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
 
 def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized biorthogonal evaluation; returns (values, condition_estimates)."""
-    n = _validate_degree(n)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.abs(xs) <= 1.0):  # also rejects NaN
-        raise InputError("eval_biortho requires |x| <= 1")
+    n, xs = check_degree(n), _unit_points(xs, "eval_biortho")
     return _horner_dd(*_biortho_table(p.alpha, p.a, p.b, n), n, xs)
 
 
@@ -271,37 +267,26 @@ def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
     x = 1 short-circuits to the correctly rounded normalization_at_one; every
     other x, -1 included, runs the generic double-double path.
     """
-    n = _validate_degree(n)
-    x = float(x)
-    if not abs(x) <= 1.0:  # also rejects NaN
-        raise InputError(f"eval_biortho requires |x| <= 1, got {x!r}")
+    n, x = check_degree(n), float(x)
     if x == 1.0:
         return EvalResult(normalization_at_one(p, n), 1.0, 0.0)
     values, cond = eval_biortho_grid(p, n, np.array([x]))
     cond = float(cond[0])
-    return EvalResult(float(values[0]), cond, 3 * n * (n + 2) * 2.0 ** -104 * cond)
+    bound = 3 * n * (n + 2) * 2.0 ** -104 * cond
+    return EvalResult(float(values[0]), cond, bound if bound < 0.5 else math.inf)
 
 
 def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized classical-representation evaluation with condition estimates."""
-    n = _validate_degree(n)
-    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-        raise InputError("jacobi parameters require finite a, b > -1")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    n, xs = check_degree(n), _unit_points(xs, "jacobi_rep_grid")
+    Params(1.0, a, b)
     return _horner_dd(*_jacobi_table(a, b, n), n, xs)
-
-
-def eval_jacobi_rep(a: float, b: float, n: int, x: float) -> float:
-    """Classical Jacobi polynomial from its explicit single-sum representation."""
-    values, _ = jacobi_rep_grid(a, b, n, np.array([float(x)]))
-    return float(values[0])
 
 
 def jacobi_recurrence_grid(a: float, b: float, n: int, xs) -> np.ndarray:
     """Three-term recurrence oracle, vectorized over x."""
-    n = _validate_degree(n)
-    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-        raise InputError("jacobi parameters require finite a, b > -1")
+    n = check_degree(n)
+    Params(1.0, a, b)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     p_prev = np.ones_like(xs)
     if n == 0:
@@ -316,11 +301,6 @@ def jacobi_recurrence_grid(a: float, b: float, n: int, xs) -> np.ndarray:
     return p_cur
 
 
-def eval_jacobi_recurrence(a: float, b: float, n: int, x: float) -> float:
-    """Scalar wrapper for the recurrence oracle."""
-    return float(jacobi_recurrence_grid(a, b, n, np.array([float(x)]))[0])
-
-
 def normalization_at_one(p: Params, n: int) -> float:
     """Value of the biorthogonal polynomial at x = 1, correctly rounded.
 
@@ -328,7 +308,7 @@ def normalization_at_one(p: Params, n: int) -> float:
     ScopeError beyond the double range, and for n above the tables' degree
     limit 1029, where the integers would grow without bound.
     """
-    n = _validate_degree(n)
+    n = check_degree(n)
     if n <= _MAX_DEGREE:
         numerator, den = _poch_numerators(p.a, p.alpha, n)
         try:
@@ -351,8 +331,7 @@ def chu_vandermonde_sides(n: int, r: int, a: float) -> Tuple[float, float]:
     summation would lose ~13 digits to cancellation at n = r = 20 and could
     not certify anything.
     """
-    n = _validate_degree(n)
-    r = _validate_degree(r)
+    n, r = check_degree(n), check_degree(r)
     if r > n:
         raise InputError(f"need r <= n, got r={r}, n={n}")
     if not math.isfinite(a):

@@ -37,7 +37,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError, ScopeError
+from .errors import (ConvergenceError, InputError, ScopeError, check_angle,
+                     check_degree, check_tol)
 from .numerics import DEAD_LOG, times_exp
 from .phase import contour_integrand, f_at_saddle, g_at_saddle, f_second_at_saddle
 from .polys import Params
@@ -124,10 +125,9 @@ def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]]
     pair still unconverged after _MAX_LEVEL step halvings.
     """
     pairs = [(float(a), float(b)) for a, b in exponent_pairs]
-    if not all(a > -1.0 and b > -1.0 for a, b in pairs):
-        raise InputError("endpoint exponents must be > -1")
-    if not tol > 0.0:
-        raise InputError("tol must be positive")
+    for a, b in pairs:  # the exponents follow the Jacobi parameter rule
+        Params(1.0, a, b)
+    check_tol(tol)
 
     # level 0: h = 1, |t| <= t_max; weights die double-exponentially, but an
     # exponent near -1 delays that: the node log-weight is roughly
@@ -298,18 +298,13 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     value underflows or when scaled=False and rho^n, the value or its error
     estimate leaves the double range.
     """
-    if n != int(n) or n < 1:
-        raise InputError(f"degree must be a positive integer, got {n!r}")
-    n = int(n)
+    n = check_degree(n, 1)
     threshold = max(1.0 - (p.a + 1.0) / p.alpha, -p.b)
     if n < threshold:
         raise InputError(
             f"n={n} is below the integrand-boundedness threshold "
             f"max(1-(a+1)/alpha, -b) = {threshold:.3f}")
-    if not (0.0 < theta < _PI):
-        raise InputError(f"theta must lie in (0, pi), got {theta!r}")
-    if not tol > 0.0:
-        raise InputError("tol must be positive")
+    theta, tol = check_angle(theta, "theta"), check_tol(tol)
 
     f0 = f_at_saddle(p, theta)
     f2 = f_second_at_saddle(p, theta)

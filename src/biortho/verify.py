@@ -23,7 +23,7 @@ import numpy as np
 
 from . import phase
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, check_degree
 from .numerics import fd_derivative
 from .polys import (
     Params,
@@ -82,8 +82,7 @@ def biorthogonality_check(p: Params, n: int,
     no magnitude for I_n.  All n+1 moments share their tanh-sinh nodes, so
     P_n is evaluated once per abscissa.
     """
-    if n < 1:
-        raise InputError("biorthogonality_check requires n >= 1")
+    n = check_degree(n, 1)
     params = {"alpha": p.alpha, "a": p.a, "b": p.b, "n": n}
 
     def integrand(xs):
@@ -182,7 +181,8 @@ def _identity_definitions():
     def lambda_prime_fd(alpha, phi):
         y = (_PI - phi) / (1.0 + alpha)
         z = alpha * y
-        lhs = fd_derivative(lambda t: phase.lambda_of_phi(alpha, t), phi, 1).real
+        lhs = fd_derivative(
+            lambda t: phase.structure_functions(alpha, t).lambda_low, phi, 1).real
         rhs = (1.0 - alpha) * np.sin(y) * np.sin(z)
         return _residual(lhs, rhs)
 
@@ -374,7 +374,7 @@ def reduction_check(a: float, b: float,
     xs = np.linspace(-1.0, 1.0, 41)
     worst = -1.0
     worst_at = None
-    for n in range(0, n_max + 1):
+    for n in range(check_degree(n_max) + 1):
         vals, _ = eval_biortho_grid(p, n, xs)
         ref = jacobi_recurrence_grid(a, b, n, xs)
         rel = np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))

@@ -1,19 +1,22 @@
 """The failure contract: every failure is InputError, ScopeError or
-ConvergenceError, and the CLI maps exactly those to exit codes 2, 3 and 4."""
+ConvergenceError, and the CLI maps exactly those to exit codes 2, 3 and 4;
+no NaN, infinite or fractional argument escapes as a raw exception or a
+number."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from biortho import phase
+from biortho import asymptotics, phase, polys, verify
 from biortho.asymptotics import darboux_classical
 from biortho.cli import main
 from biortho.errors import ConvergenceError, InputError, ScopeError
 from biortho.numerics import fd_derivative, find_root_bisect, fit_loglog_slope
 from biortho.polys import Params
-from biortho.quadrature import rodrigues_contour_eval
+from biortho.quadrature import integrate_moments, rodrigues_contour_eval
 
 
 class TestLibraryTypes:
@@ -101,3 +104,192 @@ def test_cli_failure_is_one_typed_line(capsys, argv):
     assert captured.err.startswith("biortho: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the argument layer: one rule per argument, at every entry point
+# ---------------------------------------------------------------------------
+
+P = Params(2.0, 0.5, -0.3)
+HUGE = 2 ** 1100  # an integer beyond the double range
+BAD_DEGREES = [math.nan, math.inf, -math.inf, 2.5, 0.5, -1, HUGE]
+DEGREE_CALLS = {
+    "eval_biortho": lambda n: polys.eval_biortho(P, n, 0.3),
+    "eval_biortho_grid": lambda n: polys.eval_biortho_grid(P, n, [0.3]),
+    "jacobi_rep_grid": lambda n: polys.jacobi_rep_grid(0.5, -0.3, n, [0.3]),
+    "jacobi_recurrence_grid":
+        lambda n: polys.jacobi_recurrence_grid(0.5, -0.3, n, [0.3]),
+    "normalization_at_one": lambda n: polys.normalization_at_one(P, n),
+    "chu_vandermonde_sides": lambda n: polys.chu_vandermonde_sides(n, 0, 0.5),
+    "rodrigues_contour_eval": lambda n: rodrigues_contour_eval(P, n, 1.0),
+    "darboux_biortho": lambda n: asymptotics.darboux_biortho(P, n, 1.0),
+    "darboux_classical": lambda n: darboux_classical(0.5, -0.3, n, 1.0),
+}
+N_LIST_CALLS = {
+    "convergence_table":
+        lambda n: asymptotics.convergence_table(P, 1.0, [n, 16, 32]),
+    "envelope_bound": lambda n: asymptotics.envelope_bound(P, 1.0, [n]),
+}
+ANGLE_CALLS = {
+    "rodrigues_contour_eval": lambda t: rodrigues_contour_eval(P, 8, t),
+    "darboux_biortho": lambda t: asymptotics.darboux_biortho(P, 8, t),
+    "darboux_classical": lambda t: darboux_classical(0.5, -0.3, 8, t),
+    "convergence_table": lambda t: asymptotics.convergence_table(
+        P, t, [8, 16, 32]),
+    "x_of_theta": lambda t: phase.x_of_theta(P, t),
+    "sine_ratio": lambda t: phase.sine_ratio(2.0, t),
+    "saddle_data": lambda t: phase.saddle_data(P, t),
+}
+TOL_CALLS = {
+    "rodrigues_contour_eval": lambda tol: rodrigues_contour_eval(P, 8, 1.0, tol),
+    "integrate_moments": lambda tol: integrate_moments(
+        np.cos, [(0.0, 0.0)], tol),
+    "theta_of_x": lambda tol: phase.theta_of_x(P, 0.3, tol),
+    "phi_star": lambda tol: phase.phi_star(2.0, tol),
+}
+X_CALLS = {
+    "eval_biortho": lambda x: polys.eval_biortho(P, 8, x),
+    "eval_biortho_grid": lambda x: polys.eval_biortho_grid(P, 8, [0.2, x]),
+    "jacobi_rep_grid": lambda x: polys.jacobi_rep_grid(0.5, -0.3, 8, [x]),
+    "theta_of_x": lambda x: phase.theta_of_x(P, x),
+}
+AB_CALLS = {
+    "jacobi_rep_grid": lambda a, b: polys.jacobi_rep_grid(a, b, 3, [0.3]),
+    "jacobi_recurrence_grid":
+        lambda a, b: polys.jacobi_recurrence_grid(a, b, 3, [0.3]),
+    "darboux_classical": lambda a, b: darboux_classical(a, b, 3, 1.0),
+}
+
+
+def _named(calls, values):
+    return [pytest.param(calls[name], value, id=f"{name}-{value!r:.12}")
+            for name, value in itertools.product(calls, values)]
+
+
+LIBRARY_GRID = (
+    _named(DEGREE_CALLS, BAD_DEGREES)
+    + _named(N_LIST_CALLS, BAD_DEGREES + [0])
+    + _named(ANGLE_CALLS, [math.nan, math.inf, -math.inf, -1.0, 4.0])
+    + _named(TOL_CALLS, [math.nan, -1.0, 0.0, math.inf])
+    + _named(X_CALLS, [math.nan, math.inf, 1.5])
+    + [pytest.param(lambda v, call=call, which=which:
+                    call(*((v, 0.0) if which == "a" else (0.0, v))), v,
+                    id=f"{name}-{which}={v!r}")
+       for name, call in AB_CALLS.items() for which in "ab"
+       for v in (math.nan, math.inf, -1.0)]
+)
+
+
+class TestArgumentLayer:
+    @pytest.mark.parametrize("call, value", LIBRARY_GRID)
+    def test_invalid_argument_is_typed(self, call, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((InputError, ScopeError)):
+                call(value)
+
+    @pytest.mark.parametrize("name", ["rodrigues_contour_eval",
+                                      "darboux_biortho", "darboux_classical"])
+    def test_degree_beyond_double_range_is_scope(self, name):
+        with pytest.raises(ScopeError, match="exceeds the double range"):
+            DEGREE_CALLS[name](HUGE)
+
+    @pytest.mark.parametrize("call", [
+        # an infinite exponent ran 12 levels of NaN into a ConvergenceError
+        lambda: integrate_moments(np.cos, [(math.inf, 0.0)], 1e-10),
+        # n_max = -1 checked no degree and passed
+        lambda: verify.reduction_check(0.0, 0.0, -1),
+        lambda: verify.reduction_check(0.0, 0.0, 2.5),
+        lambda: verify.biorthogonality_check(P, math.nan),
+    ])
+    def test_shared_rules_at_the_other_entry_points(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                call()
+
+    def test_fractional_degree_is_not_truncated(self):
+        # envelope_bound used to take n = 2.5 as 2
+        with pytest.raises(InputError, match="degree must be an integer"):
+            asymptotics.envelope_bound(P, 1.0, [2.5])
+
+    def test_nan_bisection_tolerance(self):
+        # it used to return the bracket midpoint pi/2 as the root
+        with pytest.raises(InputError, match="tol must be finite and > 0"):
+            phase.theta_of_x(P, 0.3, math.nan)
+
+    def test_messages_keep_their_wording(self):
+        for call, match in (
+                (lambda: phase.sine_ratio(2.0, math.nan), "theta must lie in"),
+                (lambda: phase.f_prime(P, 1.0, [0.5, 4.0]), "phi must lie in"),
+                (lambda: polys.eval_biortho(P, 3, 1.5),
+                 "eval_biortho requires \\|x\\| <= 1")):
+            with pytest.raises(InputError, match=match):
+                call()
+
+    def test_integer_valued_floats_still_work(self):
+        assert polys.eval_biortho(P, 8.0, 0.3) == polys.eval_biortho(P, 8, 0.3)
+        assert rodrigues_contour_eval(P, np.int64(8), 1.0) == \
+            rodrigues_contour_eval(P, 8, 1.0)
+
+
+def test_nan_bisect_tol_in_config_exits_two(capsys, tmp_path):
+    # the contour used to run at theta = pi/2 in place of theta(0.3)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("bisect_tol = nan\n")
+    code = main(["eval", "--alpha", "2", "--a", "0.5", "--b=-0.3", "--n", "8",
+                 "--x", "0.3", "--method", "contour", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("biortho: ") and captured.err.count("\n") == 1
+
+
+# contour-dump at alpha = 10^k, k = -300, -275, ..., 300, and at the ends of
+# the double range: each run below printed NaN/inf rows with exit 0 or ended
+# in an OverflowError traceback
+DUMP_ALPHAS = [f"1e{k}" for k in range(-300, 301, 25)] + ["5e-324", "1.7e308"]
+
+
+def _dump_beyond_range(alpha: str, what: str) -> bool:
+    value = float(alpha)
+    if value <= 1e-175:
+        return True
+    if what == "contour":  # xi' overflows at the top of the range
+        return value == 1.7e308
+    return value >= 1e25
+
+
+@pytest.mark.parametrize("alpha, what", [
+    (alpha, what) for alpha in DUMP_ALPHAS
+    for what in ("contour", "T", "partition")])
+def test_contour_dump_at_extreme_alpha(capsys, alpha, what):
+    code = main(["contour-dump", "--alpha", alpha, "--what", what,
+                 "--theta", "1.0", "--n", "8", "--points", "50"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if _dump_beyond_range(alpha, what):
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("biortho: ")
+        assert "double range" in captured.err
+    else:
+        assert code == 0
+        assert "nan" not in captured.out and "inf" not in captured.out
+
+
+def test_exact_reference_that_is_not_reliable_exits_three(capsys):
+    # it printed rows with error bounds up to 2.7e6 and slope +39.4
+    code = main(["table", "--alpha", "2", "--a", "0.5", "--b=-0.3",
+                 "--theta", "1.0471975511965976", "--n-dyadic", "3..8",
+                 "--reference", "exact"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not reliable" in captured.err
+
+
+def test_error_bound_is_infinite_beyond_the_model():
+    result = polys.eval_biortho(P, 300, 0.3)
+    assert result.error_bound == math.inf and not result.reliable
+    assert polys.eval_biortho(P, 20, 0.3).error_bound < 0.5

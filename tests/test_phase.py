@@ -226,6 +226,12 @@ class TestAmplitudeFunction:
 
 PHI_FORMS = [phase.f_phase, phase.g_amplitude, phase.t_modulus, phase.f_prime]
 
+
+def lambda_of_phi(alpha, phi):
+    # the structure function lambda alone, a float or an array like phi
+    return phase.structure_functions(alpha, phi).lambda_low
+
+
 # every public function of an angle, as fn(p, theta, angles), with the
 # angles it accepts: "open" for (0, pi), "closed" for [0, pi], "from_zero"
 # for [0, pi) and "contour" for [-pi, pi]
@@ -246,7 +252,7 @@ ARRAY_FORMS = {
     "contour_integrand": ("open", lambda p, th, t: phase.contour_integrand(
         p, th, t, 5, phase.f_at_saddle(p, th))),
     "d_of_phi": ("from_zero", lambda p, th, t: phase.d_of_phi(p.alpha, t)),
-    "lambda_of_phi": ("open", lambda p, th, t: phase.lambda_of_phi(p.alpha, t)),
+    "lambda_of_phi": ("open", lambda p, th, t: lambda_of_phi(p.alpha, t)),
 }
 STRUCTURE_FIELDS = ("k", "l", "r", "s", "u", "v", "w", "d", "h", "delta_cap",
                     "lambda_low")
@@ -411,7 +417,7 @@ class TestArrayForm:
                     getattr(batch, name).flatten().tobytes()
 
     @pytest.mark.parametrize("fn", [phase.theta_major, phase.theta_major_prime,
-                                    phase.d_of_phi, phase.lambda_of_phi])
+                                    phase.d_of_phi, lambda_of_phi])
     def test_alpha_array_equal_to_float_calls(self, fn):
         rng = random.Random(12)
         alphas = np.array([rng.uniform(0.25, 4.0) for _ in range(50)])
@@ -420,7 +426,7 @@ class TestArrayForm:
         assert np.array(singles).tobytes() == fn(alphas, angles).tobytes()
 
     @pytest.mark.parametrize("fn", [phase.theta_major, phase.theta_major_prime,
-                                    phase.d_of_phi, phase.lambda_of_phi])
+                                    phase.d_of_phi, lambda_of_phi])
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_bad_alpha_raises(self, fn, bad):
         for alpha in (bad, np.array([2.0, bad])):
@@ -821,19 +827,19 @@ class TestStructureBundle:
     def test_lambda_zero_at_alpha_one(self):
         for i in range(100):
             phi = (i + 1) * PI / 101
-            assert phase.lambda_of_phi(1.0, phi) == 0.0
+            assert lambda_of_phi(1.0, phi) == 0.0
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
     def test_lambda_nonnegative_above_one(self, alpha):
         for i in range(1000):
             phi = (i + 1) * PI / 1001
-            assert phase.lambda_of_phi(alpha, phi) >= -1e-12
+            assert lambda_of_phi(alpha, phi) >= -1e-12
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_lambda_negative_below_one(self, alpha):
         for i in range(1000):
             phi = (i + 1) * PI / 1001
-            assert phase.lambda_of_phi(alpha, phi) < 0.0
+            assert lambda_of_phi(alpha, phi) < 0.0
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
     def test_delta_lower_bound(self, alpha):

@@ -15,8 +15,6 @@ from biortho.polys import (
     chu_vandermonde_sides,
     eval_biortho,
     eval_biortho_grid,
-    eval_jacobi_recurrence,
-    eval_jacobi_rep,
     jacobi_recurrence_grid,
     jacobi_rep_grid,
     normalization_at_one,
@@ -69,7 +67,7 @@ class TestBiortho:
 
     def test_alpha_one_matches_classical_rep(self):
         p = Params(1.0, 0.5, -0.3)
-        ref = eval_jacobi_rep(0.5, -0.3, 7, 0.3)
+        ref = jacobi_rep_grid(0.5, -0.3, 7, [0.3])[0][0]
         assert eval_biortho(p, 7, 0.3).value == pytest.approx(ref, rel=1e-10)
 
     def test_boundary_minus_one(self):
@@ -380,27 +378,29 @@ class TestHornerKernel:
 
 class TestClassicalJacobi:
     def test_degree_zero(self):
-        assert eval_jacobi_rep(0.3, -0.2, 0, 0.77) == pytest.approx(1.0)
+        assert jacobi_rep_grid(0.3, -0.2, 0, [0.77])[0][0] == pytest.approx(1.0)
 
     def test_legendre_p2(self):
         for x in (-0.9, 0.0, 0.4, 1.0):
-            assert eval_jacobi_rep(0.0, 0.0, 2, x) == \
+            assert jacobi_rep_grid(0.0, 0.0, 2, [x])[0][0] == \
                 pytest.approx((3 * x * x - 1) / 2, abs=1e-13)
 
     def test_value_at_one(self):
         a, b, n = 0.7, -0.2, 5
         expected = gamma(n + a + 1) / (gamma(n + 1) * gamma(a + 1))
-        assert eval_jacobi_rep(a, b, n, 1.0) == pytest.approx(expected, rel=1e-13)
+        assert jacobi_rep_grid(a, b, n, [1.0])[0][0] == \
+            pytest.approx(expected, rel=1e-13)
 
     def test_recurrence_legendre_p3(self):
-        assert eval_jacobi_recurrence(0.0, 0.0, 3, 0.5) == pytest.approx(-0.4375)
+        assert jacobi_recurrence_grid(0.0, 0.0, 3, [0.5])[0] == \
+            pytest.approx(-0.4375)
 
     def test_recurrence_degree_zero(self):
-        assert eval_jacobi_recurrence(1.3, 0.1, 0, -0.2) == 1.0
+        assert jacobi_recurrence_grid(1.3, 0.1, 0, [-0.2])[0] == 1.0
 
     def test_rep_vs_recurrence(self):
-        assert eval_jacobi_rep(1.0, 1.0, 4, 0.2) == \
-            pytest.approx(eval_jacobi_recurrence(1.0, 1.0, 4, 0.2), rel=1e-12)
+        assert jacobi_rep_grid(1.0, 1.0, 4, [0.2])[0][0] == \
+            pytest.approx(jacobi_recurrence_grid(1.0, 1.0, 4, [0.2])[0], rel=1e-12)
 
     @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, 1.25), (0.3, -0.7),
                                       (1 / 3, 0.1), (2.7, -0.99)])
@@ -428,7 +428,7 @@ class TestClassicalJacobi:
                                       (math.nan, 0.0), (-1.0, 0.0)])
     def test_bad_parameters_raise(self, a, b):
         for fn in (jacobi_rep_grid, jacobi_recurrence_grid):
-            with pytest.raises(InputError, match="finite a, b > -1"):
+            with pytest.raises(InputError, match="must be finite and > -1"):
                 fn(a, b, 3, [0.5])
 
     def test_cross_oracle_grid(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from biortho import phase, quadrature
 from biortho.errors import ConvergenceError, ScopeError
-from biortho.polys import Params, eval_biortho, eval_biortho_grid, eval_jacobi_rep
+from biortho.polys import Params, eval_biortho, eval_biortho_grid, jacobi_rep_grid
 from biortho.quadrature import (
     QuadResult,
     integrate_interval,
@@ -290,7 +290,7 @@ def reference_contour(p, n, theta, tol, scaled):
 class TestContourRule:
     def test_alpha_one_reduces_to_classical(self):
         res = rodrigues_contour_eval(Params(1.0, 0.0, 0.0), 6, PI / 3, 1e-10)
-        ref = eval_jacobi_rep(0.0, 0.0, 6, math.cos(PI / 3))
+        ref = jacobi_rep_grid(0.0, 0.0, 6, [math.cos(PI / 3)])[0][0]
         assert res.value == pytest.approx(ref, rel=1e-9)
 
     def test_cross_oracle_alpha_two(self):
