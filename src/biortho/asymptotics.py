@@ -151,6 +151,9 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
             "pass allow_unproven=True for exploratory alpha < 1 runs")
     if reference_mode not in ("exact", "contour", "auto"):
         raise InputError(f"unknown reference_mode {reference_mode!r}")
+    if not 0.0 <= envelope_threshold <= 1.0:
+        raise InputError(f"envelope_threshold must lie in [0, 1], got "
+                         f"{envelope_threshold!r}")
     n_list = [check_degree(n, 1) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("n_list must be strictly increasing")

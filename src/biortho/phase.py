@@ -26,7 +26,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -43,13 +43,10 @@ __all__ = [
     "contour_integrand",
     "contour_point",
     "d_of_phi",
-    "f_at_saddle",
     "f_phase",
     "f_prime",
     "f_second_at_saddle",
     "g_amplitude",
-    "g_at_saddle",
-    "m_alpha",
     "phi_star",
     "sine_ratio",
     "saddle_data",
@@ -143,35 +140,46 @@ def _theta_major(alpha: float, t: np.ndarray) -> np.ndarray:
 
 def theta_major_prime(alpha: float, t):
     """Analytic derivative of theta_major in t, a float or an array of
-    angles in (0, pi)."""
+    angles in (0, pi).  ScopeError where (1+alpha)^2 overflows."""
     alpha = _check_alpha(alpha)
     ts = np.atleast_1d(check_angle(t))
-    return _like(_major_prime(alpha, ts, *_major(alpha, ts)[1:]), alpha, t)
+    return _like(_in_range("theta_major_prime", lambda: _major_prime(
+        alpha, ts, *_major(alpha, ts)[1:]), "any", alpha=alpha), alpha, t)
 
 
-def _saddle_scope(fn):
-    """fn(alpha or p, checked theta), with OverflowError, ZeroDivisionError
-    and a non-finite value raised as ScopeError (beyond the double range)."""
-    @wraps(fn)
-    def guarded(first, theta):
-        theta = check_angle(theta, "theta")
-        try:
-            value = fn(first, theta)
-        except (OverflowError, ZeroDivisionError):
-            value = math.nan
-        if not cmath.isfinite(value):
-            raise ScopeError(f"{fn.__name__} at theta={theta!r} lies beyond "
-                             "the double range")
-        return value
-    return guarded
+def _in_range(name: str, compute, returns: str = "arrays", **where):
+    """compute() with numpy's warnings off; an OverflowError, a
+    ZeroDivisionError or a non-finite value becomes a ScopeError naming the
+    function and where (ValueError, and so InputError, passes).  returns
+    reads the value: "arrays" (arrays of one shape), "numbers" (a tuple of
+    Python numbers, whose overflow raises: no numpy state is set) or "any"."""
+    try:
+        if returns == "numbers":
+            value = compute()
+        else:
+            with np.errstate(all="ignore"):
+                value = compute()
+    except (OverflowError, ZeroDivisionError):
+        pass
+    else:
+        if returns == "any" or (all(map(cmath.isfinite, value))
+                                if returns == "numbers"
+                                else np.isfinite(value).all()):
+            return value
+    at = ", ".join(f"{key}={value!r}" for key, value in where.items())
+    raise ScopeError(f"{name} at {at} lies beyond the double range")
 
 
-@_saddle_scope
-def sine_ratio(alpha: float, theta: float) -> float:
-    """Geometric decay factor sin((pi-t)/(1+alpha)) / sin((pi-t)/(1+1/alpha))."""
-    alpha = _check_alpha(alpha)
+def _sine_ratio(alpha: float, theta: float) -> float:
     y = (_PI - theta) / (1.0 + alpha)
     return math.sin(y) / math.sin(alpha * y)
+
+
+def sine_ratio(alpha: float, theta: float) -> float:
+    """Geometric decay factor sin((pi-t)/(1+alpha)) / sin((pi-t)/(1+1/alpha))."""
+    theta, alpha = check_angle(theta, "theta"), _check_alpha(alpha)
+    return _in_range("sine_ratio", lambda: (_sine_ratio(alpha, theta),),
+                     "numbers", theta=theta)[0]
 
 
 def x_of_theta(p: Params, theta):
@@ -215,6 +223,7 @@ _AtTheta = namedtuple("_AtTheta", "big small s y z upper xi_prime")
 
 
 @lru_cache(maxsize=256)
+@np.errstate(all="ignore")
 def _at_theta(alpha: float, theta: float) -> _AtTheta:
     """The frame, theta_major(alpha, .), s and xi' at phi = theta as Python
     scalars, for a checked alpha and theta: the theta-only factors of the
@@ -292,18 +301,14 @@ def contour_point(p: Params, phi) -> ContourPoint:
         raise InputError(f"phi must lie in [-pi, pi], got {bad!r}")
     alpha, size = p.alpha, np.abs(phis)
     inner = (size > 0.0) & (size < _PI)  # +pi names the same point as -pi
-    try:
-        with np.errstate(all="ignore"):
-            fr = _frame(alpha, np.where(inner, size, 0.5 * _PI))
-            e = np.exp(-1j * fr.z)
-            xi = np.where(inner, 1.0 - 2.0 * fr.big ** alpha * e,
-                          np.where(size == 0.0, 1.0, -1.0))
-            prime = _xi_prime(alpha, fr, e)
-    except (OverflowError, ZeroDivisionError):
-        xi = prime = np.array(np.nan)
-    if not (np.isfinite(xi).all() and np.isfinite(prime).all()):
-        raise ScopeError(f"contour_point at alpha={alpha!r} lies beyond the "
-                         "double range")
+
+    def upper_branch():
+        fr = _frame(alpha, np.where(inner, size, 0.5 * _PI))
+        e = np.exp(-1j * fr.z)
+        return (np.where(inner, 1.0 - 2.0 * fr.big ** alpha * e,
+                         np.where(size == 0.0, 1.0, -1.0)),
+                _xi_prime(alpha, fr, e))
+    xi, prime = _in_range("contour_point", upper_branch, alpha=alpha)
     prime = np.where(inner, prime, np.nan)
     lower = inner & (phis < 0.0)
     xi = np.where(lower, xi.conj(), xi)
@@ -359,7 +364,8 @@ def f_phase(p: Params, theta: float, phi):
     A single principal Log of the assembled product would jump by 2*pi for
     some parameters and break e^{n f} quadrature.
     """
-    _, fr, _, den = _integrand_parts(p, theta, phi)
+    _, fr, _, den = _in_range("f_phase", lambda: _integrand_parts(
+        p, theta, phi), "any", alpha=p.alpha, theta=theta)
     return _like(_f_values(p.alpha, fr, den), phi)
 
 
@@ -368,31 +374,33 @@ def g_amplitude(p: Params, theta: float, phi):
 
     phi is a float or an array of angles in (0, pi), as for f_phase.
     """
-    at, fr, e, den = _integrand_parts(p, theta, phi)
-    return _like(_g_values(p, at, fr, e, den), phi)
+    return _like(_in_range("g_amplitude", lambda: _g_values(p, *_integrand_parts(
+        p, theta, phi)), "any", alpha=p.alpha, theta=theta), phi)
 
 
 def contour_integrand(p: Params, theta: float, phi, n: int, f0: complex):
     """The contour integrand with the saddle factor taken out,
-    e^{n (f - f0)} g at phi, for the degree n and f0 = f_at_saddle.
+    e^{n (f - f0)} g at phi, for the degree n and f0 = f(theta).
 
     phi is a float or an array of angles in (0, pi), as for f_phase; the
     contour oracle passes every node of one refinement level at once.  The
     quantities that f and g share are computed once, and each value equals
     np.exp(n * (f_phase - f0)) * g_amplitude bit for bit.  Where
     n Re(f - f0) < DEAD_LOG the exponential underflows: the value is exactly
-    0 and g is not computed.  Overflow and invalid operations in the
-    exponential and in g give non-finite values without a warning, for the
-    caller to check.
+    0 and g is not computed.  Overflow and invalid operations in f, the
+    exponential and g give non-finite values without a warning, for the
+    caller to check; ScopeError where the theta data leave the double range.
     """
-    at, fr, e, den = _integrand_parts(p, theta, phi)
-    w = n * (_f_values(p.alpha, fr, den) - f0)
-    live = ~(w.real < DEAD_LOG)  # NaN stays live
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.zeros(fr.phi.shape, dtype=complex)
-        values[live] = np.exp(w[live]) * _g_values(
+    def values():
+        at, fr, e, den = _integrand_parts(p, theta, phi)
+        w = n * (_f_values(p.alpha, fr, den) - f0)
+        live = ~(w.real < DEAD_LOG)  # NaN stays live
+        kept = np.zeros(fr.phi.shape, dtype=complex)
+        kept[live] = np.exp(w[live]) * _g_values(
             p, at, _Frame(*(q[live] for q in fr)), e[live], den[live])
-    return _like(values, phi)
+        return kept
+    return _like(_in_range("contour_integrand", values, "any",
+                           alpha=p.alpha, theta=theta), phi)
 
 
 def t_modulus(p: Params, theta: float, phi):
@@ -403,21 +411,16 @@ def t_modulus(p: Params, theta: float, phi):
     leaves the double range.
     """
     theta, alpha = check_angle(theta, "theta"), p.alpha
-    try:
-        with np.errstate(all="ignore"):
-            fr = _frame(alpha, np.atleast_1d(check_angle(phi, "phi")))
-            head = fr.big ** alpha
-            # den = |head e^{-iz} - s(theta)|^2 from its real and imaginary
-            # parts: expanded, it cancels as phi -> pi when theta is near pi
-            gap = head * np.cos(fr.z) - _at_theta(alpha, theta).s
-            den = gap * gap + (head * np.sin(fr.z)) ** 2
-            values = fr.big ** (2.0 * alpha) * _l_value(fr.upper) / den
-    except (OverflowError, ZeroDivisionError):
-        values = np.array(np.nan)
-    if not np.isfinite(values).all():
-        raise ScopeError(f"t_modulus at alpha={alpha!r}, theta={theta!r} lies "
-                         "beyond the double range")
-    return _like(values, phi)
+
+    def values():
+        fr = _frame(alpha, np.atleast_1d(check_angle(phi, "phi")))
+        head = fr.big ** alpha
+        # den = |head e^{-iz} - s(theta)|^2 from its real and imaginary
+        # parts: expanded, it cancels as phi -> pi when theta is near pi
+        gap = head * np.cos(fr.z) - _at_theta(alpha, theta).s
+        den = gap * gap + (head * np.sin(fr.z)) ** 2
+        return fr.big ** (2.0 * alpha) * _l_value(fr.upper) / den
+    return _like(_in_range("t_modulus", values, alpha=alpha, theta=theta), phi)
 
 
 def f_prime(p: Params, theta: float, phi):
@@ -428,22 +431,27 @@ def f_prime(p: Params, theta: float, phi):
     saddle scan passes its whole grid at once.  The numerator carries the
     factor s(phi) - s(theta), with s(theta) computed by the same array
     operations as s(phi), so the saddle residual at phi = theta cancels
-    exactly instead of by floating-point luck.
+    exactly instead of by floating-point luck.  ScopeError where xi'
+    overflows in its factor (1+1/alpha)^2.
     """
     theta, alpha = check_angle(theta, "theta"), p.alpha
     phis = np.atleast_1d(check_angle(phi, "phi"))
-    fr = _frame(alpha, phis)
-    big, e = fr.big, np.exp(-1j * fr.z)
-    s_theta = _s_value(alpha, np.array([theta]))
-    small = _theta_major(alpha, phis)
-    s_phi = big ** alpha * small
-    upp = -2.0 * (big / small) * (s_phi - s_theta) * np.exp(-1j * fr.v)
-    head = big ** alpha * e  # (1 - xi) / 2
-    low = (alpha * (2.0 * head) * (1.0 - big * np.exp(-1j * fr.y))
-           * (-2.0 * (head - s_theta)))
-    if (low == 0).any():
-        raise ConvergenceError("f_prime: denominator vanished")
-    return _like(upp / low * _xi_prime(alpha, fr, e), phi)
+
+    def values():
+        fr = _frame(alpha, phis)
+        big, e = fr.big, np.exp(-1j * fr.z)
+        s_theta = _s_value(alpha, np.array([theta]))
+        small = _theta_major(alpha, phis)
+        s_phi = big ** alpha * small
+        upp = -2.0 * (big / small) * (s_phi - s_theta) * np.exp(-1j * fr.v)
+        head = big ** alpha * e  # (1 - xi) / 2
+        low = (alpha * (2.0 * head) * (1.0 - big * np.exp(-1j * fr.y))
+               * (-2.0 * (head - s_theta)))
+        if (low == 0).any():
+            raise ConvergenceError("f_prime: denominator vanished")
+        return upp / low * _xi_prime(alpha, fr, e)
+    return _like(_in_range("f_prime", values, "any", alpha=alpha,
+                           theta=theta), phi)
 
 
 @dataclass(frozen=True)
@@ -457,51 +465,45 @@ class SaddleData:
     sine_ratio: float
 
 
-def f_at_saddle(p: Params, theta: float) -> complex:
-    return complex(math.log(sine_ratio(p.alpha, theta)), theta)
-
-
-def _saddle_factors(p: Params, theta: float):
-    """The quantities at phi = theta plus the factors shared by g and M
-    there: lower = e^{iz} - theta_major(alpha, theta) and the three real
-    denominator factors Theta_alpha^((a+1)/alpha-1), ((1+x)/2)^b, |lower|^2."""
-    alpha, a, b = p.alpha, p.a, p.b
-    at = _at_theta(alpha, theta)
-    big, small = at.big, at.small
-    lower = complex(math.cos(at.z) - small, math.sin(at.z))
-    dens = (small ** ((a + 1.0) / alpha - 1.0),
-            (1.0 - big * small ** (1.0 / alpha)) ** b,
-            _l_value(lower))
-    return at, lower, dens
-
-
-@_saddle_scope
-def g_at_saddle(p: Params, theta: float) -> complex:
-    alpha, a, b = p.alpha, p.a, p.b
-    at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
-    num = (cmath.exp(-1j * (_PI + at.y * (a + b + 1.0 - alpha)))
-           * cmath.exp(b * cmath.log(at.upper)) * lower * at.xi_prime)
-    return num / (2.0 * at.big ** alpha * d1 * d2 * d3)
-
-
-@_saddle_scope
-def f_second_at_saddle(p: Params, theta: float) -> complex:
-    alpha = p.alpha
-    at = _at_theta(alpha, theta)
+def _f_second(alpha: float, at: _AtTheta) -> complex:
     return ((1.0 + alpha) / (4.0 * alpha * alpha)
             * cmath.exp(-1j * (_PI - 2.0 * alpha * at.y))
             * at.big ** (1.0 - 2.0 * alpha) * at.xi_prime * at.xi_prime
             / at.upper)
 
 
-@_saddle_scope
-def m_alpha(p: Params, theta: float) -> complex:
-    """n-free amplitude of the Darboux-type leading term."""
-    a, b = p.a, p.b
-    at, lower, (d1, d2, d3) = _saddle_factors(p, theta)
-    num = (cmath.exp(-1j * (_PI / 2.0 + at.y * (a + b + 1.0)))
-           * cmath.exp((b + 0.5) * cmath.log(at.upper)) * lower)
-    return num / (math.sqrt(at.big) * d1 * d2 * d3)
+def f_second_at_saddle(p: Params, theta: float) -> complex:
+    """f''(theta) alone, which may lie in range where g or M does not."""
+    return _in_range("f_second_at_saddle", lambda: (_f_second(p.alpha, _at_theta(
+        p.alpha, check_angle(theta, "theta"))),), "numbers", theta=theta)[0]
+
+
+def _saddle_fields(p: Params, theta: float) -> tuple:
+    # the SaddleData fields; g and M share lower and the factors d1, d2, d3
+    alpha, a, b, theta = p.alpha, p.a, p.b, check_angle(theta, "theta")
+    at = _at_theta(alpha, theta)
+    rho = _sine_ratio(alpha, theta)
+    # rho = 0 underflowed: log 0 = -inf leaves the range
+    f_saddle = complex(math.log(rho) if rho > 0.0 else -math.inf, theta)
+    lower = complex(math.cos(at.z) - at.small, math.sin(at.z))
+    d1 = at.small ** ((a + 1.0) / alpha - 1.0)  # Theta_alpha^((a+1)/alpha-1)
+    d2 = (1.0 - at.big * at.small ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
+    d3 = _l_value(lower)
+    g_num = (cmath.exp(-1j * (_PI + at.y * (a + b + 1.0 - alpha)))
+             * cmath.exp(b * cmath.log(at.upper)) * lower * at.xi_prime)
+    m_num = (cmath.exp(-1j * (_PI / 2.0 + at.y * (a + b + 1.0)))
+             * cmath.exp((b + 0.5) * cmath.log(at.upper)) * lower)
+    return (f_saddle, g_num / (2.0 * at.big ** alpha * d1 * d2 * d3),
+            _f_second(alpha, at), m_num / (math.sqrt(at.big) * d1 * d2 * d3),
+            rho)
+
+
+def saddle_data(p: Params, theta: float) -> SaddleData:
+    """All saddle quantities, each computed once (m_alpha is the n-free
+    amplitude M); the proven contracts on f_second and m_alpha hold for
+    alpha >= 1 but the values are computed for any alpha > 0."""
+    return SaddleData(*_in_range("saddle_data", lambda: _saddle_fields(
+        p, theta), "numbers", theta=theta))
 
 
 def sqrt_f_second(f_second: complex) -> complex:
@@ -514,18 +516,6 @@ def sqrt_f_second(f_second: complex) -> complex:
     wherever Im f_second < 0.
     """
     return 1j * cmath.sqrt(-f_second)
-
-
-def saddle_data(p: Params, theta: float) -> SaddleData:
-    """All saddle quantities; the proven contracts on f_second and m_alpha
-    hold for alpha >= 1 but the values are computed for any alpha > 0."""
-    return SaddleData(
-        f_saddle=f_at_saddle(p, theta),
-        g_saddle=g_at_saddle(p, theta),
-        f_second=f_second_at_saddle(p, theta),
-        m_alpha=m_alpha(p, theta),
-        sine_ratio=sine_ratio(p.alpha, theta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +573,19 @@ class StructureBundle:
 
 def structure_functions(alpha: float, phi) -> StructureBundle:
     """The structure functions at phi, a float or an array of angles in
-    (0, pi); the claim scan passes its whole grid at once."""
+    (0, pi); the claim scan passes its whole grid at once.  ScopeError where
+    theta_major' overflows in its factor (1+1/alpha)^2."""
     alpha = _check_alpha(alpha)
     phis = np.atleast_1d(check_angle(phi, "phi"))
+    fields = {name: _like(value, alpha, phi) for name, value in _in_range(
+        "structure_functions", lambda: _structure_values(alpha, phis), "any",
+        alpha=alpha).items()}
+    if isinstance(fields["h"], float) and math.isnan(fields["h"]):
+        fields["h"] = None
+    return StructureBundle(**fields)
+
+
+def _structure_values(alpha, phis: np.ndarray) -> dict:
     fr = _frame(alpha, phis)
     big, z, cy = fr.big, fr.z, fr.cy
     sy = fr.upper.imag
@@ -609,14 +609,8 @@ def structure_functions(alpha: float, phi) -> StructureBundle:
                       + big ** alpha * alpha * sz / one_p_a)
     v = u * r - k * l * r_prime
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(dd2 == 0.0, np.nan, big ** alpha * (cz - 2.0 * d / dd2 * sz))
+    h = np.where(dd2 == 0.0, np.nan, big ** alpha * (cz - 2.0 * d / dd2 * sz))
     delta_cap = dd2 * big * (cy - big) + 2.0 * (1.0 - big * big)
     lambda_low = cy * sz - alpha * sy * cz
-    fields = {name: _like(value, alpha, phi) for name, value in (
-        ("k", k), ("l", l), ("r", r), ("s", s), ("u", u), ("v", v), ("w", w),
-        ("d", d), ("h", h), ("delta_cap", delta_cap), ("lambda_low", lambda_low))}
-    if isinstance(fields["h"], float) and math.isnan(fields["h"]):
-        fields["h"] = None
-    return StructureBundle(**fields)
-
+    return {"k": k, "l": l, "r": r, "s": s, "u": u, "v": v, "w": w, "d": d,
+            "h": h, "delta_cap": delta_cap, "lambda_low": lambda_low}

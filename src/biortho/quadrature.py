@@ -40,7 +40,7 @@ from .config import DEFAULTS
 from .errors import (ConvergenceError, InputError, ScopeError, check_angle,
                      check_degree, check_tol)
 from .numerics import DEAD_LOG, times_exp
-from .phase import contour_integrand, f_at_saddle, g_at_saddle, f_second_at_saddle
+from .phase import contour_integrand, saddle_data
 from .polys import Params
 
 __all__ = ["QuadResult", "integrate_interval", "integrate_moments",
@@ -50,7 +50,7 @@ _PI = math.pi
 _HALF_PI = 0.5 * math.pi
 _LOG2 = math.log(2.0)
 
-# tanh-sinh step halvings after level 0 before integrate_interval gives up
+# tanh-sinh step halvings after level 0 before integrate_moments gives up
 _MAX_LEVEL = 12
 
 
@@ -176,7 +176,7 @@ def integrate_moments(f: Callable, exponent_pairs: Sequence[Tuple[float, float]]
     for i, r in enumerate(results):
         if r is None:
             raise ConvergenceError(
-                f"integrate_interval: refinement stalled at error "
+                f"integrate_moments: refinement stalled at error "
                 f"{errors[i]:.3e} after {_MAX_LEVEL} levels (tol {tol:.1e})")
     return results
 
@@ -295,8 +295,8 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     tol below the rounding floor ends there) or when an integrand value of a
     level the rule uses is not finite or a node of an integrand call, used
     or not, hits the integrand's pole, and ScopeError when every integrand
-    value underflows or when scaled=False and rho^n, the value or its error
-    estimate leaves the double range.
+    value underflows or when the saddle data, (1+alpha)^2 or, with
+    scaled=False, rho^n, the value or its error estimate leave the range.
     """
     n = check_degree(n, 1)
     threshold = max(1.0 - (p.a + 1.0) / p.alpha, -p.b)
@@ -306,24 +306,27 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
             f"max(1-(a+1)/alpha, -b) = {threshold:.3f}")
     theta, tol = check_angle(theta, "theta"), check_tol(tol)
 
-    f0 = f_at_saddle(p, theta)
-    f2 = f_second_at_saddle(p, theta)
+    sd = saddle_data(p, theta)
     # prior for the peak contribution: |g(theta)| times the Gaussian width
-    gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(f2), 1e-12)))
-    scale = abs(g_at_saddle(p, theta)) * min(gauss_width, _PI)
+    gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(sd.f_second), 1e-12)))
+    scale = abs(sd.g_saddle) * min(gauss_width, _PI)
     # Rounding floor: each value has a relative error of about (n+1) eps (n
     # from the exponent) times 1 + cond_scale / (pi - phi).  As phi -> pi,
     # Re upper = cos y - big and Re den = big^alpha cos z - s are differences
     # of numbers near 1, against |upper| >= sin y and |den| >= big^alpha sin z,
     # of order (pi-phi)/(1+alpha) and alpha (pi-phi)/(1+alpha).
     floor_factor = 2.0 * (n + 1) * _EPS
-    cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
+    try:
+        cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
+    except OverflowError:
+        raise ScopeError("rodrigues_contour_eval: (1+alpha)^2 overflows at "
+                         f"alpha={p.alpha!r}") from None
 
     # The saddle splits the contour into [0, theta] and [theta, pi], which
     # puts the peak of e^{n(f-f0)} at an end of each half.  Level 0 has
     # h = 1; each later level halves h and adds the odd multiples.
     total, l1_total, h = 0j, 0.0, 1.0
-    levels = _contour_levels(p, theta, n, f0, tol)
+    levels = _contour_levels(p, theta, n, sd.f_saddle, tol)
     for level, (phi, weight, values, evaluations) in enumerate(levels):
         if not np.isfinite(values).all():
             raise ConvergenceError(
@@ -347,6 +350,6 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     if scaled:
         return QuadResult(scaled_value, scaled_err, evaluations)
     what, hint = "rodrigues_contour_eval", "; scaled=True gives P_n / rho^n"
-    return QuadResult(times_exp(scaled_value, n * f0.real, what, hint),
-                      times_exp(scaled_err, n * f0.real, what, hint),
+    return QuadResult(times_exp(scaled_value, n * sd.f_saddle.real, what, hint),
+                      times_exp(scaled_err, n * sd.f_saddle.real, what, hint),
                       evaluations)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import phase
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError, check_degree
+from .errors import ConvergenceError, InputError, check_degree, check_tol
 from .numerics import fd_derivative
 from .polys import (
     Params,
@@ -82,7 +82,7 @@ def biorthogonality_check(p: Params, n: int,
     no magnitude for I_n.  All n+1 moments share their tanh-sinh nodes, so
     P_n is evaluated once per abscissa.
     """
-    n = check_degree(n, 1)
+    n, tol = check_degree(n, 1), check_tol(tol)
     params = {"alpha": p.alpha, "a": p.a, "b": p.b, "n": n}
 
     def integrand(xs):
@@ -219,8 +219,7 @@ def identity_suite(samples: int = DEFAULTS["identity_samples"],
     The derivative-of-lambda check runs at a looser tolerance because its
     left side is a finite difference.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
+    samples = check_degree(samples, 1)
     records = []
     for check_id, tol, names, draw, residuals in _identity_definitions():
         rng = random.Random(seed)
@@ -370,7 +369,7 @@ def reduction_check(a: float, b: float,
                     tol: float = DEFAULTS["reduction_tol"]) -> CheckRecord:
     """alpha = 1 double sum against the classical recurrence oracle on a
     41-point grid; differences are relative to max(1, |reference|)."""
-    p = Params(1.0, a, b)
+    p, tol = Params(1.0, a, b), check_tol(tol)
     xs = np.linspace(-1.0, 1.0, 41)
     worst = -1.0
     worst_at = None

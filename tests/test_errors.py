@@ -3,6 +3,7 @@ ConvergenceError, and the CLI maps exactly those to exit codes 2, 3 and 4;
 no NaN, infinite or fractional argument escapes as a raw exception or a
 number."""
 
+import cmath
 import itertools
 import math
 import warnings
@@ -22,9 +23,9 @@ from biortho.quadrature import integrate_moments, rodrigues_contour_eval
 class TestLibraryTypes:
     @pytest.mark.parametrize("name, alpha, a, b, theta", [
         ("sine_ratio", 5e-324, 0.0, 0.0, 1.0),
-        ("g_at_saddle", 1e3, -0.5, 1e3, 1e-300),
+        ("saddle_data", 1e3, -0.5, 1e3, 1e-300),  # g leaves the range
         ("f_second_at_saddle", 50.0, 3.0, -0.999, 1e-12),
-        ("m_alpha", 1.0, 1e6, 0.0, 1e-300),
+        ("saddle_data", 1.0, 1e6, 0.0, 1e-300),  # M leaves the range
     ])
     def test_saddle_data_beyond_double_range(self, name, alpha, a, b, theta):
         first = alpha if name == "sine_ratio" else Params(alpha, a, b)
@@ -33,7 +34,7 @@ class TestLibraryTypes:
 
     def test_saddle_guard_keeps_input_errors(self):
         with pytest.raises(InputError, match="theta must lie in"):
-            phase.m_alpha(Params(2.0, 0.0, 0.0), 0.0)
+            phase.saddle_data(Params(2.0, 0.0, 0.0), 0.0)
 
     def test_contour_underflow_is_scope(self):
         # every integrand value underflows; the call used to return 0 +- 0
@@ -293,3 +294,140 @@ def test_error_bound_is_infinite_beyond_the_model():
     result = polys.eval_biortho(P, 300, 0.3)
     assert result.error_bound == math.inf and not result.reliable
     assert polys.eval_biortho(P, 20, 0.3).error_bound < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the range guard: values beyond the double range are ScopeError, never a raw
+# exception or a numpy warning
+# ---------------------------------------------------------------------------
+
+EXTREME_ALPHAS = [float(f"1e{k}") for k in range(-300, 301, 25)] + [5e-324,
+                                                                    1.7e308]
+RANGE_COMMANDS = [
+    ["eval", "--a", "0", "--b", "0", "--n", "3", "--method", "asymptotic",
+     "--allow-unproven"],
+    ["eval", "--a", "0", "--b", "0", "--n", "3", "--method", "contour"],
+    ["table", "--a", "0", "--b", "0", "--n-dyadic", "3..5", "--reference",
+     "contour", "--allow-unproven"],
+]
+# each ended in a traceback: log(rho) at rho = 0, and (1+alpha)^2 in the
+# contour's rounding floor
+RANGE_TRACEBACKS = [
+    ("1e+225", "1e-300", 1),
+    ("1e+175", repr(math.pi - 1e-12), 1),
+]
+
+
+def test_cli_range_grid_ends_in_exit_codes(capsys):
+    # 405 invocations: 30 ended in a traceback, 20 printed a RuntimeWarning
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, theta in itertools.product(
+                EXTREME_ALPHAS,
+                ["1e-300", "1e-100", "1e-12", "1.0", repr(math.pi - 1e-12)]):
+            for i, command in enumerate(RANGE_COMMANDS):
+                code = main(command + ["--alpha", repr(alpha), "--theta",
+                                       theta])
+                codes[repr(alpha), theta, i] = code
+                captured = capsys.readouterr()
+                assert code in (0, 3, 4), (alpha, theta, command)
+                assert "Traceback" not in captured.err
+    for key in RANGE_TRACEBACKS:
+        assert codes[key] == 3, key
+
+
+SADDLE_ALPHAS = EXTREME_ALPHAS + [0.3, 0.7, 1.0, 2.0, 4.0, 1e3, 1e6]
+SADDLE_THETAS = [1e-300, 1e-100, 1e-12, 1e-3, 0.5, 1.5, 3.0, math.pi - 1e-3,
+                 math.pi - 1e-12, math.nextafter(math.pi, 0.0)]
+
+
+def test_saddle_grid_ends_in_a_value_or_a_typed_error():
+    for alpha, theta in itertools.product(SADDLE_ALPHAS, SADDLE_THETAS):
+        for call in (lambda: phase.saddle_data(Params(alpha, 0.0, 0.0), theta),
+                     lambda: verify.saddle_and_concavity_check(
+                         ([alpha], [theta]))):
+            try:
+                call()
+            except (ScopeError, ConvergenceError):
+                pass
+
+
+@pytest.mark.parametrize("alpha, theta", [
+    (1e225, 1e-300),      # rho underflows to 0: log(rho) was a ValueError
+    (1e-300, 1.0),        # (1+1/alpha)^2 overflows in xi'
+    (1.7e308, 1e-300),
+])
+def test_saddle_points_beyond_the_range(alpha, theta):
+    with pytest.raises(ScopeError, match=f"saddle_data at theta={theta!r}"):
+        phase.saddle_data(Params(alpha, 0.0, 0.0), theta)
+
+
+def test_saddle_check_keeps_its_record_where_g_leaves_the_range():
+    # f'' alone is in range at (alpha, theta) = (1e-50, 0.5); g and M are not
+    p = Params(1e-50, 0.0, 0.0)
+    with pytest.raises(ScopeError):
+        phase.saddle_data(p, 0.5)
+    assert cmath.isfinite(phase.f_second_at_saddle(p, 0.5))
+    assert len(verify.saddle_and_concavity_check(([1e-50], [0.5]))) == 1
+
+
+RANGE_CALLS = {
+    "theta_major_prime": lambda al, t: phase.theta_major_prime(al, t),
+    "f_prime": lambda al, t: phase.f_prime(Params(al, 0.5, -0.3), 1.0, t),
+    "structure_functions": lambda al, t: phase.structure_functions(al, t),
+    "contour_integrand": lambda al, t: phase.contour_integrand(
+        Params(al, 0.5, -0.3), 1.0, t, 3, 0j),
+    "f_phase": lambda al, t: phase.f_phase(Params(al, 0.5, -0.3), 1.0, t),
+    "g_amplitude": lambda al, t: phase.g_amplitude(Params(al, 0.5, -0.3), t, t),
+}
+
+
+@pytest.mark.parametrize("name", RANGE_CALLS)
+def test_overflow_at_extreme_alpha_is_scope(name):
+    # (1+alpha)^2 in theta_major' overflowed as a raw OverflowError, and the
+    # theta factors of g divided by zero
+    beyond = 0
+    for alpha, t in itertools.product(EXTREME_ALPHAS + [0.3, 2.0],
+                                      [1e-300, 1e-12, 1.0, 3.0,
+                                       math.pi - 1e-12]):
+        try:
+            RANGE_CALLS[name](alpha, t)
+        except ScopeError as exc:
+            assert f"{name} at alpha=" in str(exc)
+            beyond += 1
+        except ConvergenceError:
+            pass
+    assert beyond >= 29
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: verify.biorthogonality_check(P, 2, math.nan),
+                 id="biortho_tol-nan"),
+    pytest.param(lambda: verify.biorthogonality_check(P, 2, 0.0),
+                 id="biortho_tol-0"),
+    pytest.param(lambda: verify.reduction_check(0.0, 0.0, 4, math.nan),
+                 id="reduction_tol-nan"),
+    pytest.param(lambda: verify.identity_suite(math.nan), id="samples-nan"),
+    pytest.param(lambda: verify.identity_suite(2.5), id="samples-2.5"),
+    pytest.param(lambda: asymptotics.convergence_table(
+        P, 1.0, [8, 16, 32], envelope_threshold=math.nan),
+        id="envelope_threshold-nan"),
+    pytest.param(lambda: asymptotics.convergence_table(
+        P, 1.0, [8, 16, 32], envelope_threshold=1.5),
+        id="envelope_threshold-1.5"),
+])
+def test_verify_thresholds_are_checked(call):
+    # NaN thresholds gave fail records, a ConvergenceError or a TypeError
+    with pytest.raises(InputError):
+        call()
+
+
+def test_nan_biortho_tol_in_config_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("biortho_tol = nan\n")
+    code = main(["verify", "--suite", "biortho", "--config", str(cfg),
+                 "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("biortho: ") and captured.err.count("\n") == 1

@@ -166,7 +166,7 @@ class TestPhaseFunction:
             theta = rng.uniform(0.05, PI - 0.05)
             p = Params(alpha, rng.uniform(-0.9, 2.0), rng.uniform(-0.9, 2.0))
             assert abs(phase.f_phase(p, theta, theta)
-                       - phase.f_at_saddle(p, theta)) < 1e-12
+                       - phase.saddle_data(p, theta).f_saddle) < 1e-12
 
     def test_real_part_is_half_log_modulus(self):
         rng = random.Random(6)
@@ -207,7 +207,7 @@ class TestAmplitudeFunction:
     def test_continuity_at_saddle(self):
         p = Params(2.0, 0.5, -0.3)
         theta = 1.1
-        g0 = phase.g_at_saddle(p, theta)
+        g0 = phase.saddle_data(p, theta).g_saddle
         for phi in (theta - 1e-6, theta + 1e-6):
             assert abs(phase.g_amplitude(p, theta, phi) - g0) <= 1e-4 * abs(g0)
 
@@ -250,7 +250,7 @@ ARRAY_FORMS = {
     "t_modulus": ("open", phase.t_modulus),
     "f_prime": ("open", phase.f_prime),
     "contour_integrand": ("open", lambda p, th, t: phase.contour_integrand(
-        p, th, t, 5, phase.f_at_saddle(p, th))),
+        p, th, t, 5, phase.saddle_data(p, th).f_saddle)),
     "d_of_phi": ("from_zero", lambda p, th, t: phase.d_of_phi(p.alpha, t)),
     "lambda_of_phi": ("open", lambda p, th, t: lambda_of_phi(p.alpha, t)),
 }
@@ -558,7 +558,7 @@ class TestContourIntegrand:
             theta = rng.choice([rng.uniform(0.05, 0.6), rng.uniform(0.6, 2.5),
                                 rng.uniform(2.5, PI - 0.05)])
             n = rng.choice([1, 5, 40, 512, 4096])
-            f0 = phase.f_at_saddle(p, theta)
+            f0 = phase.saddle_data(p, theta).f_saddle
             ends = [1e-12, 1e-9, 1e-6, PI - 1e-6, PI - 1e-9, PI - 1e-12]
             phis = np.array(ends + [theta] + [rng.uniform(1e-12, PI - 1e-12)
                                               for _ in range(41)]).reshape(6, 8)
@@ -705,8 +705,8 @@ class TestSaddleData:
         m = (np.exp(-i * (pi / 2 + y * (a + 1))) * np.sqrt(upper) * lower
              / (np.sqrt(big) * dens))
         p = Params(alpha, a, 0.0)
-        for value, ref in ((phase.g_at_saddle(p, theta), g),
-                           (phase.m_alpha(p, theta), m)):
+        for value, ref in ((phase.saddle_data(p, theta).g_saddle, g),
+                           (phase.saddle_data(p, theta).m_alpha, m)):
             ulps = abs(np.clongdouble(value) - ref) / np.spacing(float(abs(ref)))
             assert ulps <= 1e4, ulps
 

@@ -256,10 +256,10 @@ def reference_contour(p, n, theta, tol, scaled):
     """rodrigues_contour_eval as one public phase.contour_integrand call per
     level on freshly built nodes, with the same evaluation cap; (value, error
     estimate, last level, node count of each level run)."""
-    f0 = phase.f_at_saddle(p, theta)
+    f0 = phase.saddle_data(p, theta).f_saddle
     f2 = phase.f_second_at_saddle(p, theta)
     gauss_width = math.sqrt(2.0 * PI / (n * max(abs(f2), 1e-12)))
-    scale = abs(phase.g_at_saddle(p, theta)) * min(gauss_width, PI)
+    scale = abs(phase.saddle_data(p, theta).g_saddle) * min(gauss_width, PI)
     floor_factor = 2.0 * (n + 1) * np.finfo(float).eps
     cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
     total, l1_total, h, sizes = 0j, 0.0, 1.0, []
@@ -344,8 +344,8 @@ class TestContourRule:
             p = Params(alpha, 0.0, 0.0)
             for theta in (PI / 4, PI / 2, 3 * PI / 4):
                 n = 8
-                f0 = phase.f_at_saddle(p, theta)
-                peak = abs(phase.g_at_saddle(p, theta))
+                f0 = phase.saddle_data(p, theta).f_saddle
+                peak = abs(phase.saddle_data(p, theta).g_saddle)
                 for phi in (1e-6, PI - 1e-6):
                     w = n * (phase.f_phase(p, theta, phi) - f0)
                     mag = 0.0 if w.real < -700 else abs(
