@@ -125,7 +125,7 @@ def _scaled_reference(p: Params, n: int, theta: float, mode: str,
     if mode == "exact" or (mode == "auto" and n <= _EXACT_REFERENCE_MAX_N):
         result = eval_biortho(p, n, x_of_theta(p, theta))
         if result.reliable:
-            return result.value * math.exp(-n * log_rho)
+            return times_exp(result.value, -n * log_rho, f"reference at n={n}")
         if mode == "exact":
             raise ScopeError(f"convergence_table: the exact reference at n={n}"
                              " is not reliable; use the contour reference")
@@ -200,7 +200,10 @@ def envelope_bound(p: Params, theta: float, n_list: Sequence[int], *,
     if p.alpha < 1.0:
         raise ScopeError("envelope_bound applies to the proven range alpha >= 1")
     n_list = [check_degree(n, 1) for n in n_list]
-    log_rho = math.log(sine_ratio(p.alpha, theta))
+    rho = sine_ratio(p.alpha, theta)
+    if not rho > 0.0:  # rho ~ 0 underflows, or rounds below 0
+        raise ScopeError(f"envelope_bound: rho rounds to {rho!r} at theta={theta!r}")
+    log_rho = math.log(rho)
     rows = []
     for n in n_list:
         scaled_ref = _scaled_reference(p, n, theta, "auto", contour_tol, log_rho)

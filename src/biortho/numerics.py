@@ -32,15 +32,15 @@ __all__ = [
 def times_exp(value: float, exponent: float, what: str,
               hint: str = "") -> float:
     """value * e^exponent, where e^exponent is the factor rho^n taken out of a
-    scaled value.  Raises ScopeError, naming `what` and appending `hint`, when
-    the factor or the product exceeds the double range; underflow to 0 is
-    returned as is."""
+    scaled value, or rho^-n.  Raises ScopeError, naming `what` and appending
+    `hint`, when the factor or the product exceeds the double range;
+    underflow to 0 is returned as is."""
     try:
         product = value * math.exp(exponent)
     except OverflowError:
         product = math.inf
     if math.isinf(product):
-        raise ScopeError(f"{what}: rho^n = exp({exponent:.4g}) takes the "
+        raise ScopeError(f"{what}: rho^(+-n) = exp({exponent:.4g}) takes the "
                          f"value beyond the double range{hint}")
     return product
 
@@ -139,16 +139,16 @@ def dd_two_sum(a, b):
     return s, (a - (s - bv)) + (b - bv)
 
 
-def _dd_two_prod(a, b):
-    p = a * b
-    ah_t = _SPLIT * a
-    ah = ah_t - (ah_t - a)
-    al = a - ah
-    bh_t = _SPLIT * b
-    bh = bh_t - (bh_t - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
+def _split(a):
+    # Dekker halves: a = hi + lo exactly, each with at most 26 significant bits
+    a_t = _SPLIT * a
+    hi = a_t - (a_t - a)
+    return hi, a - hi
+
+
+def _dd_two_prod(a, b, bh, bl):
+    p, (ah, al) = a * b, _split(a)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def dd_add(xh, xl, yh, yl):
@@ -158,11 +158,16 @@ def dd_add(xh, xl, yh, yl):
     return rh, te - (rh - sh)
 
 
-def dd_mul(xh, xl, yh, yl):
-    ph, pe = _dd_two_prod(xh, yh)
+def _dd_mul_split(xh, xl, yh, yl, yh_halves):
+    # dd_mul given _split(yh), so that a loop multiplying by one y splits it once
+    ph, pe = _dd_two_prod(xh, yh, *yh_halves)
     pe = pe + (xh * yl + xl * yh)
     rh = ph + pe
     return rh, pe - (rh - ph)
+
+
+def dd_mul(xh, xl, yh, yl):
+    return _dd_mul_split(xh, xl, yh, yl, _split(yh))
 
 
 def dd_div(xh, xl, yh, yl):
@@ -172,7 +177,7 @@ def dd_div(xh, xl, yh, yl):
     correction); on the ratios (1-|x|)/(1+|x|) the polynomial evaluators
     form, the largest seen is about 2^-104."""
     q1 = xh / yh
-    th, te = _dd_two_prod(q1, yh)
+    th, te = _dd_two_prod(q1, yh, *_split(yh))
     # remainder x - q1*y evaluated in double-double
     rh, rl = dd_add(xh, xl, -th, -(te + q1 * yl))
     q2 = (rh + rl) / yh

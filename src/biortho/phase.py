@@ -529,8 +529,8 @@ def d_of_phi(alpha: float, phi):
     array of angles in [0, pi), and phi = 0 returns +inf.
     """
     alpha = _check_alpha(alpha)
-    return _like(_with_limits(phi, "phi", {0.0: math.inf},
-                              lambda ts: _d_of_phi(alpha, ts)), alpha, phi)
+    return _like(_with_limits(phi, "phi", {0.0: math.inf}, lambda ts: _in_range(
+        "d_of_phi", lambda: _d_of_phi(alpha, ts), alpha=alpha)), alpha, phi)
 
 
 def _d_of_phi(alpha: float, phi: np.ndarray) -> np.ndarray:
@@ -548,8 +548,8 @@ def phi_star(alpha: float, tol: float = 1e-12) -> float:
     pi produces sign noise, while d < 1 already holds far earlier.
     """
     alpha = _check_alpha(alpha)
-    return find_root_bisect(lambda t: _d_of_phi(alpha, np.array([t])).item()
-                            - 1.0, 1e-9, _PI - 1e-4, tol)
+    return find_root_bisect(lambda t: _in_range("phi_star", lambda: _d_of_phi(
+        alpha, np.array([t])), alpha=alpha).item() - 1.0, 1e-9, _PI - 1e-4, tol)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InputError, ScopeError, check_degree
-from .numerics import dd_add, dd_div, dd_mul, dd_pow, dd_two_sum
+from .numerics import _dd_mul_split, _split, dd_add, dd_div, dd_mul, dd_pow, dd_two_sum
 
 __all__ = [
     "Params",
@@ -239,16 +239,18 @@ def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
     # each point's coefficient index: n down to 0, or 0 up to n for x < 0
     r, step = np.where(flip, 0, n), np.where(flip, 1, -1)
     acc_h, acc_l = coef_h[r], coef_l[r]
-    mags = np.abs(coef_h)
-    peak, top = mags[r], np.zeros(xs.shape, dtype=int)
+    peak, top = np.abs(acc_h), np.zeros(xs.shape, dtype=int)
+    t_halves = _split(t_h)
     for k in range(1, n + 1):
-        r = r + step
-        acc_h, acc_l = dd_add(*dd_mul(acc_h, acc_l, t_h, t_l), coef_h[r], coef_l[r])
-        peak, mag = peak * t_h, mags[r]
-        top[mag > peak] = k
+        r += step
+        c_h = coef_h[r]
+        acc_h, acc_l = dd_add(*_dd_mul_split(acc_h, acc_l, t_h, t_l, t_halves),
+                              c_h, coef_l[r])
+        peak, mag = peak * t_h, np.abs(c_h)
+        np.putmask(top, mag > peak, k)
         peak = np.maximum(peak, mag)
     j, rel_l = n - top, np.divide(t_l, t_h, out=np.zeros_like(t_h), where=t_h > 0.0)
-    peak = mags[np.where(flip, top, j)] * t_h ** j * (1.0 + j * rel_l)
+    peak = np.abs(coef_h[np.where(flip, top, j)]) * t_h ** j * (1.0 + j * rel_l)
     values = np.add(*dd_mul(acc_h, acc_l, *dd_pow(0.5 * base_h, 0.5 * base_l, n)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = np.where(values != 0.0, peak / np.abs(acc_h + acc_l), np.inf)
@@ -336,9 +338,13 @@ def chu_vandermonde_sides(n: int, r: int, a: float) -> Tuple[float, float]:
         raise InputError(f"need r <= n, got r={r}, n={n}")
     if not math.isfinite(a):
         raise InputError(f"a must be finite, got {a!r}")
-    numerator, den = _poch_numerators(a, 1.0, n)
-    lhs = sum((-1) ** s * math.comb(r, s) * numerator(s) for s in range(r + 1))
-    lhs /= den * math.factorial(r)
+    factor, _ = _poch_numerators(a, 1.0, 1)
+    ls = range(factor(0), factor(r + n), factor(1) - factor(0))  # N(s) = prod ls[s:s+n]
+    lhs = num = math.prod(ls[:n])
+    for s in range(1, r + 1):  # ls[s - 1] = 0 when a is a negative integer
+        num = num * ls[s + n - 1] // ls[s - 1] if ls[s - 1] else math.prod(ls[s:s + n])
+        lhs += (-1) ** s * math.comb(r, s) * num
+    lhs /= ls.step ** n * math.factorial(n) * math.factorial(r)
     numerator, den = _poch_numerators(a, 1.0, n - r)
     rhs = numerator(r) / (den * math.factorial(r))
     return lhs, -rhs if r & 1 else rhs

@@ -372,6 +372,40 @@ def test_saddle_check_keeps_its_record_where_g_leaves_the_range():
     assert len(verify.saddle_and_concavity_check(([1e-50], [0.5]))) == 1
 
 
+@pytest.mark.parametrize("alpha", [
+    1e225,  # rho rounds below 0: log(rho) was a ValueError
+    1e300,  # the exact reference's rho^-n overflowed: an OverflowError
+])
+def test_envelope_bound_beyond_the_range(alpha):
+    with pytest.raises(ScopeError):
+        asymptotics.envelope_bound(Params(alpha, 0.0, 0.0), 1e-300, [8])
+
+
+def test_d_of_phi_grid_is_a_value_or_scope():
+    # 14 of these points overflowed with a RuntimeWarning into inf or nan;
+    # every finite value is the unguarded kernel's, and phi_star, which
+    # bisects d, raised InputError after three warnings at alpha = 1e300
+    beyond = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, phi in itertools.product(
+                EXTREME_ALPHAS, [1e-300, 1e-12, 1.0, 3.0, math.pi - 1e-12]):
+            try:
+                d = phase.d_of_phi(alpha, phi)
+            except ScopeError as exc:
+                assert "d_of_phi at alpha=" in str(exc)
+                beyond += 1
+                continue
+            with np.errstate(all="ignore"):
+                assert d == phase._d_of_phi(alpha, np.array([phi])).item()
+        for alpha in EXTREME_ALPHAS:
+            try:
+                phase.phi_star(alpha)
+            except (InputError, ScopeError) as exc:
+                assert alpha < 1e300 or isinstance(exc, ScopeError)
+    assert beyond >= 14
+
+
 RANGE_CALLS = {
     "theta_major_prime": lambda al, t: phase.theta_major_prime(al, t),
     "f_prime": lambda al, t: phase.f_prime(Params(al, 0.5, -0.3), 1.0, t),

@@ -104,6 +104,42 @@ class TestDoubleDouble:
             worst = max(worst, float(rel))
         assert worst <= 2.25 * 2.0 ** -104
 
+    def test_products_match_the_dekker_formulas_bitwise(self):
+        # dd_mul and dd_div split y once and share one product core; a
+        # test-local transcription of Dekker's product, each factor split on
+        # its own, gives the same bits
+        def split(a):
+            a_t = 134217729.0 * a
+            hi = a_t - (a_t - a)
+            return hi, a - hi
+
+        def two_prod(a, b):
+            (ah, al), (bh, bl), p = split(a), split(b), a * b
+            return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+        rng = np.random.default_rng(5)
+        xh, yh = rng.uniform(-1.0, 1.0, (2, 4000)) * 10.0 ** rng.integers(
+            -30, 30, (2, 4000))
+        xh[:6] = yh[:6] = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e150]
+        xl, yl = np.array([xh, yh]) * rng.uniform(-2.0 ** -53, 2.0 ** -53, (2, 4000))
+        ph, pe = two_prod(xh, yh)
+        pe = pe + (xh * yl + xl * yh)
+        rh = ph + pe
+        expect = (rh, pe - (rh - ph))
+        got = dd_mul(xh, xl, yh, yl)
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+        xs = rng.uniform(0.0, 1.0, 4000)
+        nh, nl = dd_two_sum(1.0, -xs)
+        dh, dl = dd_two_sum(1.0, xs)
+        q1 = nh / dh
+        th, te = two_prod(q1, dh)
+        rh, rl = dd_add(nh, nl, -th, -(te + q1 * dl))
+        q2 = (rh + rl) / dh
+        s = q1 + q2
+        expect = (s, q2 - (s - q1))
+        got = dd_div(nh, nl, dh, dl)
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
     def test_vector_sum_cancellation(self):
         hs = np.array([1e16, 1.0, -1e16, 1e-8])
         ls = np.zeros(4)

@@ -9,6 +9,7 @@ import pytest
 
 from biortho import polys
 from biortho.errors import InputError, ScopeError
+from biortho.numerics import dd_add, dd_div, dd_mul, dd_pow, dd_two_sum
 from biortho.phase import x_of_theta
 from biortho.polys import (
     Params,
@@ -286,6 +287,30 @@ BRANCH_XS = (0.0, -0.0, 1.0, -1.0, 1.0 - 1e-12, -1.0 + 1e-12, 1.0 - 2.0 ** -53,
              -1.0 + 2.0 ** -53)
 
 
+def _horner_reference(coef_h, coef_l, n, xs):
+    # the Horner pass with one dd_mul (which splits t again) and one dd_add
+    # per degree, and the largest term's index stored through a boolean mask
+    flip = xs < 0.0
+    base_h, base_l = dd_two_sum(1.0, np.abs(xs))
+    t_h, t_l = dd_div(*dd_two_sum(1.0, -np.abs(xs)), base_h, base_l)
+    r, step = np.where(flip, 0, n), np.where(flip, 1, -1)
+    acc_h, acc_l = coef_h[r], coef_l[r]
+    mags = np.abs(coef_h)
+    peak, top = mags[r], np.zeros(xs.shape, dtype=int)
+    for k in range(1, n + 1):
+        r = r + step
+        acc_h, acc_l = dd_add(*dd_mul(acc_h, acc_l, t_h, t_l), coef_h[r], coef_l[r])
+        peak, mag = peak * t_h, mags[r]
+        top[mag > peak] = k
+        peak = np.maximum(peak, mag)
+    j, rel_l = n - top, np.divide(t_l, t_h, out=np.zeros_like(t_h), where=t_h > 0.0)
+    peak = mags[np.where(flip, top, j)] * t_h ** j * (1.0 + j * rel_l)
+    values = np.add(*dd_mul(acc_h, acc_l, *dd_pow(0.5 * base_h, 0.5 * base_l, n)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = np.where(values != 0.0, peak / np.abs(acc_h + acc_l), np.inf)
+    return values, np.maximum(cond, 1.0)
+
+
 class TestHornerKernel:
     """The Horner pass in t = min(u, w)/max(u, w) at the points where it
     branches: the order of the coefficients, t = 0 and t = 1."""
@@ -348,6 +373,29 @@ class TestHornerKernel:
                 continue
             checked += self.assert_matches_exact(alpha, a, b, n, xs, values, cond)
         assert checked >= 30
+
+    def test_bitwise_equal_to_the_reference_loop(self):
+        # compared on this machine, not against stored digests: cond goes
+        # through libm pow, which may round differently elsewhere
+        rng = np.random.default_rng(29)
+        ends = np.array([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324])
+        compared = 0
+        for alpha in (0.5, 1.0, 2.0, 4.0, 0.7, 1.3, 2.3, 3.1):
+            a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
+            for n, m in zip((0, 240, *rng.integers(1, 240, size=2)),
+                            rng.permutation([1, 2, 41, 1001])):
+                xs = rng.uniform(-1.0, 1.0, size=m)
+                xs[:6] = rng.choice(ends, size=min(m, 6), replace=False)
+                try:
+                    table = polys._biortho_table(alpha, a, b, int(n))
+                except ScopeError:
+                    continue
+                values, cond = eval_biortho_grid(Params(alpha, a, b), n, xs)
+                ref_values, ref_cond = _horner_reference(*table, int(n), xs)
+                assert values.tobytes() == ref_values.tobytes(), (alpha, n, m)
+                assert cond.tobytes() == ref_cond.tobytes(), (alpha, n, m)
+                compared += 1
+        assert compared == 32
 
     def test_largest_term_at_every_point(self):
         # value = acc base^n and cond = peak/|acc|, so cond |value| is the
@@ -495,7 +543,8 @@ class TestChuVandermonde:
                     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_sides_are_rounded_exact_rationals(self):
-        for a in (0.7, 1 / 3, -0.45):
+        # a = -1 and -3 zero a factor of N(s - 1): N(s) is a product anew
+        for a in (0.7, 1 / 3, -0.45, -1.0, -3.0):
             fa = Fraction(a)
             for n in range(21):
                 for r in range(n + 1):
