@@ -200,10 +200,7 @@ def envelope_bound(p: Params, theta: float, n_list: Sequence[int], *,
     if p.alpha < 1.0:
         raise ScopeError("envelope_bound applies to the proven range alpha >= 1")
     n_list = [check_degree(n, 1) for n in n_list]
-    rho = sine_ratio(p.alpha, theta)
-    if not rho > 0.0:  # rho ~ 0 underflows, or rounds below 0
-        raise ScopeError(f"envelope_bound: rho rounds to {rho!r} at theta={theta!r}")
-    log_rho = math.log(rho)
+    log_rho = math.log(sine_ratio(p.alpha, theta))  # ScopeError at rho <= 0
     rows = []
     for n in n_list:
         scaled_ref = _scaled_reference(p, n, theta, "auto", contour_tol, log_rho)

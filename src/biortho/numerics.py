@@ -146,8 +146,8 @@ def _split(a):
     return hi, a - hi
 
 
-def _dd_two_prod(a, b, bh, bl):
-    p, (ah, al) = a * b, _split(a)
+def _dd_two_prod(a, b, a_halves, b_halves):
+    (ah, al), (bh, bl), p = a_halves, b_halves, a * b
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -158,9 +158,10 @@ def dd_add(xh, xl, yh, yl):
     return rh, te - (rh - sh)
 
 
-def _dd_mul_split(xh, xl, yh, yl, yh_halves):
-    # dd_mul given _split(yh), so that a loop multiplying by one y splits it once
-    ph, pe = _dd_two_prod(xh, yh, *yh_halves)
+def _dd_mul_split(xh, xl, yh, yl, yh_halves, xh_halves=None):
+    # dd_mul given _split(yh), so that a loop multiplying by one y splits it
+    # once; a square passes the same halves for x
+    ph, pe = _dd_two_prod(xh, yh, xh_halves or _split(xh), yh_halves)
     pe = pe + (xh * yl + xl * yh)
     rh = ph + pe
     return rh, pe - (rh - ph)
@@ -170,6 +171,50 @@ def dd_mul(xh, xl, yh, yl):
     return _dd_mul_split(xh, xl, yh, yl, _split(yh))
 
 
+def dd_horner_step(acc_h, acc_l, t_h, t_l, t_halves, c_h, c_l, work):
+    """acc <- acc * t + c in place, for arrays of one shape: the operations,
+    in their order, of dd_add(*_dd_mul_split(acc_h, acc_l, t_h, t_l,
+    t_halves), c_h, c_l), so the same bits, written into acc and the four
+    rows of work (a float array of shape (4,) + acc.shape) instead of fresh
+    arrays.  acc and work must not overlap t or c."""
+    add, sub, mul = np.add, np.subtract, np.multiply  # op(x, y, out)
+    p, hi, lo, e = work
+    bh, bl = t_halves
+    # the product p = acc_h t_h and its error e, from the halves of acc_h
+    mul(acc_h, t_h, p)
+    mul(_SPLIT, acc_h, hi)
+    sub(hi, acc_h, lo)
+    sub(hi, lo, hi)
+    sub(acc_h, hi, lo)
+    mul(hi, bh, e)  # e = ((hi bh - p) + hi bl + lo bh) + lo bl
+    sub(e, p, e)
+    mul(hi, bl, hi)
+    add(e, hi, e)
+    mul(lo, bh, hi)
+    add(e, hi, e)
+    mul(lo, bl, lo)
+    add(e, lo, e)
+    mul(acc_h, t_l, hi)  # e += acc_h t_l + acc_l t_h
+    mul(acc_l, t_h, lo)
+    add(hi, lo, hi)
+    add(e, hi, e)
+    add(p, e, acc_h)  # acc = p + e, renormalized
+    sub(acc_h, p, hi)
+    sub(e, hi, acc_l)
+    # the sum: s = acc_h + c_h (in p) and its error, then the low parts
+    add(acc_h, c_h, p)
+    sub(p, acc_h, hi)
+    sub(p, hi, lo)
+    sub(acc_h, lo, lo)
+    sub(c_h, hi, hi)
+    add(lo, hi, lo)
+    add(acc_l, c_l, e)
+    add(e, lo, e)
+    add(p, e, acc_h)
+    sub(acc_h, p, hi)
+    sub(e, hi, acc_l)
+
+
 def dd_div(xh, xl, yh, yl):
     """x / y from the double quotient and one remainder step.  To first
     order in u = 2^-53 its relative error is at most 9u^2 = 2.25 * 2^-104
@@ -177,7 +222,7 @@ def dd_div(xh, xl, yh, yl):
     correction); on the ratios (1-|x|)/(1+|x|) the polynomial evaluators
     form, the largest seen is about 2^-104."""
     q1 = xh / yh
-    th, te = _dd_two_prod(q1, yh, *_split(yh))
+    th, te = _dd_two_prod(q1, yh, _split(q1), _split(yh))
     # remainder x - q1*y evaluated in double-double
     rh, rl = dd_add(xh, xl, -th, -(te + q1 * yl))
     q2 = (rh + rl) / yh
@@ -185,15 +230,25 @@ def dd_div(xh, xl, yh, yl):
     return s, q2 - (s - q1)
 
 
+def _dd_square(h, l):
+    halves = _split(h)
+    return _dd_mul_split(h, l, h, l, halves, halves)
+
+
 def dd_pow(h, l, n: int):
-    """(h + l)^n by repeated squaring: n - 1 products' worth of error."""
-    ph, pl = np.ones_like(h), np.zeros_like(h)
-    while n:
+    """(h + l)^n by repeated squaring: n - 1 products' worth of error.  The
+    product starts from the power of n's lowest set bit, which is what a
+    product with one gives for the normalized pairs (h = h + l rounded) it
+    is given."""
+    if n == 0:
+        return np.ones_like(h), np.zeros_like(h)
+    while not n & 1:
+        (h, l), n = _dd_square(h, l), n >> 1
+    ph, pl = h, l
+    while n := n >> 1:
+        h, l = _dd_square(h, l)
         if n & 1:
             ph, pl = dd_mul(ph, pl, h, l)
-        n >>= 1
-        if n:
-            h, l = dd_mul(h, l, h, l)
     return ph, pl
 
 

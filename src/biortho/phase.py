@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ConvergenceError, InputError, ScopeError, check_angle
+from .errors import ConvergenceError, InputError, ScopeError, check_angle, check_tol
 from .numerics import DEAD_LOG, find_root_bisect
 from .polys import Params
 
@@ -171,12 +171,17 @@ def _in_range(name: str, compute, returns: str = "arrays", **where):
 
 
 def _sine_ratio(alpha: float, theta: float) -> float:
+    # rho, or nan where it rounds to 0 or below: the true rho is positive,
+    # but it can underflow, and alpha y can round past pi
     y = (_PI - theta) / (1.0 + alpha)
-    return math.sin(y) / math.sin(alpha * y)
+    rho = math.sin(y) / math.sin(alpha * y)
+    return rho if rho > 0.0 else math.nan
 
 
 def sine_ratio(alpha: float, theta: float) -> float:
-    """Geometric decay factor sin((pi-t)/(1+alpha)) / sin((pi-t)/(1+1/alpha))."""
+    """Geometric decay factor sin((pi-t)/(1+alpha)) / sin((pi-t)/(1+1/alpha)).
+    ScopeError where it leaves the double range, rounding to 0 or below
+    included."""
     theta, alpha = check_angle(theta, "theta"), _check_alpha(alpha)
     return _in_range("sine_ratio", lambda: (_sine_ratio(alpha, theta),),
                      "numbers", theta=theta)[0]
@@ -339,15 +344,22 @@ def _f_values(alpha: float, fr: _Frame, den: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+def _theta_factors(p: Params, at: _AtTheta) -> tuple:
+    """The theta-only denominator factors of g and M, Python floats:
+    Theta_alpha^((a+1)/alpha-1) and ((1+x)/2)^b."""
+    return (at.small ** ((p.a + 1.0) / p.alpha - 1.0),
+            (1.0 - at.big * at.small ** (1.0 / p.alpha)) ** p.b)
+
+
 def _g_values(p: Params, at: _AtTheta, fr: _Frame, e: np.ndarray,
               den: np.ndarray) -> np.ndarray:
     alpha, a, b = p.alpha, p.a, p.b
     ratio = (fr.big / at.big) ** (a + 1.0 - alpha)
     phase = np.exp(-1j * (_PI + fr.y * (a + b + 1.0 - alpha)))
     upper_b = np.exp(b * np.log(fr.upper))  # principal power; Im upper > 0
-    base_b = (1.0 - at.big * at.small ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
+    d1, d2 = _theta_factors(p, at)
     return (ratio * phase * upper_b * _xi_prime(alpha, fr, e)
-            / (2.0 * at.small ** ((a + 1.0) / alpha - 1.0) * base_b * den))
+            / (2.0 * d1 * d2 * den))
 
 
 def f_phase(p: Params, theta: float, phi):
@@ -482,12 +494,10 @@ def _saddle_fields(p: Params, theta: float) -> tuple:
     # the SaddleData fields; g and M share lower and the factors d1, d2, d3
     alpha, a, b, theta = p.alpha, p.a, p.b, check_angle(theta, "theta")
     at = _at_theta(alpha, theta)
-    rho = _sine_ratio(alpha, theta)
-    # rho = 0 underflowed: log 0 = -inf leaves the range
-    f_saddle = complex(math.log(rho) if rho > 0.0 else -math.inf, theta)
+    rho = _sine_ratio(alpha, theta)  # nan beyond the range
+    f_saddle = complex(math.log(rho), theta)
     lower = complex(math.cos(at.z) - at.small, math.sin(at.z))
-    d1 = at.small ** ((a + 1.0) / alpha - 1.0)  # Theta_alpha^((a+1)/alpha-1)
-    d2 = (1.0 - at.big * at.small ** (1.0 / alpha)) ** b  # ((1+x)/2)^b
+    d1, d2 = _theta_factors(p, at)
     d3 = _l_value(lower)
     g_num = (cmath.exp(-1j * (_PI + at.y * (a + b + 1.0 - alpha)))
              * cmath.exp(b * cmath.log(at.upper)) * lower * at.xi_prime)
@@ -547,9 +557,13 @@ def phi_star(alpha: float, tol: float = 1e-12) -> float:
     from a cancellation of two O(1/eps) cotangents, so evaluating closer to
     pi produces sign noise, while d < 1 already holds far earlier.
     """
-    alpha = _check_alpha(alpha)
-    return find_root_bisect(lambda t: _in_range("phi_star", lambda: _d_of_phi(
-        alpha, np.array([t])), alpha=alpha).item() - 1.0, 1e-9, _PI - 1e-4, tol)
+    alpha, tol = _check_alpha(alpha), check_tol(tol)
+    try:
+        return find_root_bisect(lambda t: _in_range("phi_star", lambda: _d_of_phi(
+            alpha, np.array([t])), alpha=alpha).item() - 1.0, 1e-9, _PI - 1e-4, tol)
+    except InputError:  # tol is checked, so the bracket holds no sign change
+        raise ScopeError(f"phi_star at alpha={alpha!r}: d - 1 does not change "
+                         f"sign on [1e-9, pi - 1e-4]") from None
 
 
 @dataclass(frozen=True)

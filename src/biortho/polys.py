@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InputError, ScopeError, check_degree
-from .numerics import _dd_mul_split, _split, dd_add, dd_div, dd_mul, dd_pow, dd_two_sum
+from .numerics import _split, dd_div, dd_horner_step, dd_mul, dd_pow, dd_two_sum
 
 __all__ = [
     "Params",
@@ -48,6 +48,10 @@ _MAX_DEGREE = 1029
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 # from 2^996 on, the Dekker split in the double-double products overflows
 _DD_LIMIT = 2.0 ** 996
+# points per pass of the Horner kernel: a longer grid runs block by block
+# through one work arena, which moves no bit, since every operation is
+# elementwise, and bounds the kernel's memory
+_HORNER_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,29 @@ def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
     t's error (9u^2), and passes j products (8u^2) and j + 1 sums (3u^2 of
     the operands): (10n^2 + 14n + 1) u^2 cond over all terms, plus 8n u^2
     from base^n and the last product, below 3n(n+2) 2^-104 cond.
+
+    The degree loop runs in place (numerics.dd_horner_step) in one work
+    arena per call, _HORNER_BLOCK points wide at most; a longer grid runs
+    block by block through it.
     """
+    flat = xs.ravel()
+    if flat.size == 1:
+        # numpy takes a slow path (about 2.4x per call) for an operation that
+        # writes over its own operand when the array has one element
+        flat = np.repeat(flat, 2)
+    values, cond = np.empty((2, flat.size))
+    work = np.empty((4, min(flat.size, _HORNER_BLOCK)))
+    mask = np.empty(work.shape[1], dtype=bool)
+    for start in range(0, flat.size, _HORNER_BLOCK):
+        block = slice(start, min(start + _HORNER_BLOCK, flat.size))
+        width = block.stop - start
+        values[block], cond[block] = _horner_block(
+            coef_h, coef_l, n, flat[block], work[:, :width], mask[:width])
+    return values[:xs.size].reshape(xs.shape), cond[:xs.size].reshape(xs.shape)
+
+
+def _horner_block(coef_h, coef_l, n: int, xs, work, mask):
+    # _horner_dd on one block of points, with its work arena
     flip = xs < 0.0
     base_h, base_l = dd_two_sum(1.0, np.abs(xs))  # 1 +- |x| are exact
     t_h, t_l = dd_div(*dd_two_sum(1.0, -np.abs(xs)), base_h, base_l)
@@ -244,11 +270,12 @@ def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
     for k in range(1, n + 1):
         r += step
         c_h = coef_h[r]
-        acc_h, acc_l = dd_add(*_dd_mul_split(acc_h, acc_l, t_h, t_l, t_halves),
-                              c_h, coef_l[r])
-        peak, mag = peak * t_h, np.abs(c_h)
-        np.putmask(top, mag > peak, k)
-        peak = np.maximum(peak, mag)
+        dd_horner_step(acc_h, acc_l, t_h, t_l, t_halves, c_h, coef_l[r], work)
+        peak *= t_h
+        mag = np.abs(c_h, out=c_h)
+        np.greater(mag, peak, out=mask)
+        np.putmask(top, mask, k)
+        np.maximum(peak, mag, out=peak)
     j, rel_l = n - top, np.divide(t_l, t_h, out=np.zeros_like(t_h), where=t_h > 0.0)
     peak = np.abs(coef_h[np.where(flip, top, j)]) * t_h ** j * (1.0 + j * rel_l)
     values = np.add(*dd_mul(acc_h, acc_l, *dd_pow(0.5 * base_h, 0.5 * base_l, n)))

@@ -406,6 +406,23 @@ def test_d_of_phi_grid_is_a_value_or_scope():
     assert beyond >= 14
 
 
+def test_sine_ratio_below_zero_is_scope():
+    # alpha y rounds past pi, so sin(alpha y) and rho turn negative
+    with pytest.raises(ScopeError, match="sine_ratio at theta=1e-300"):
+        phase.sine_ratio(1e225, 1e-300)
+
+
+def test_phi_star_is_a_root_or_scope():
+    # at large alpha the bracket can miss the root; that was an InputError
+    # (the tolerance's error type) at 1e25, 1e100, 1e225 and 1e275
+    for k in range(-300, 301, 25):
+        try:
+            root = phase.phi_star(10.0 ** k)
+        except ScopeError:
+            continue
+        assert 0.0 < root < math.pi, k
+
+
 RANGE_CALLS = {
     "theta_major_prime": lambda al, t: phase.theta_major_prime(al, t),
     "f_prime": lambda al, t: phase.f_prime(Params(al, 0.5, -0.3), 1.0, t),

@@ -1,12 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from biortho import polys
+from biortho.errors import ScopeError
 from biortho.numerics import (
+    _dd_mul_split,
+    _split,
     dd_add,
     dd_div,
+    dd_horner_step,
     dd_mul,
+    dd_pow,
     dd_sum,
     dd_two_sum,
     fd_derivative,
@@ -139,6 +146,94 @@ class TestDoubleDouble:
         expect = (s, q2 - (s - q1))
         got = dd_div(nh, nl, dh, dl)
         assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
+    @staticmethod
+    def assert_step_is_the_reference(acc_h, acc_l, t_h, t_l, c_h, c_l):
+        # one in-place step against dd_add(*_dd_mul_split(...)), by bytes;
+        # returns the reference result
+        halves = _split(t_h)
+        with np.errstate(all="ignore"):
+            expect = dd_add(*_dd_mul_split(acc_h, acc_l, t_h, t_l, halves),
+                            c_h, c_l)
+            got = acc_h.copy(), acc_l.copy()
+            dd_horner_step(*got, t_h, t_l, halves, c_h, c_l,
+                           np.empty((4,) + acc_h.shape))
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+        return expect
+
+    def test_horner_step_on_edge_operands(self):
+        # every combination of signed zeros, the smallest subnormal, 2^+-1000
+        # (whose Dekker split overflows into nan), t = 0 and t = 1 and
+        # mixed signs
+        highs = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** 1000, -2.0 ** 1000,
+                 2.0 ** -1000, -2.0 ** -1000, 1.0, -0.7, 0.3]
+        lows = [0.0, -0.0, 5e-324, 2.0 ** -1060, -2.0 ** -60]
+        ts = [(0.0, 0.0), (1.0, 0.0), (0.5, 2.0 ** -56), (1.0 / 3.0, 1.8e-17),
+              (5e-324, 0.0), (2.0 ** -1000, 0.0)]
+        acc_h, acc_l, c_h, c_l = (np.array(v) for v in zip(
+            *itertools.product(highs, lows, highs, lows)))
+        for t_h, t_l in ts:
+            self.assert_step_is_the_reference(
+                acc_h, acc_l, np.full(acc_h.shape, t_h), np.full(acc_h.shape, t_l),
+                c_h, c_l)
+        # one element, where numpy takes another path for in-place operations
+        self.assert_step_is_the_reference(*(np.array([v]) for v in (
+            -0.7, 2.0 ** -60, 1.0 / 3.0, 1.8e-17, 0.3, -0.0)))
+
+    def test_horner_step_on_the_kernel_grids(self):
+        # the grids of TestHornerKernel's reference-loop comparison (same
+        # draws), stepped degree by degree through the coefficient tables
+        rng = np.random.default_rng(29)
+        ends = np.array([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324])
+        compared = 0
+        for alpha in (0.5, 1.0, 2.0, 4.0, 0.7, 1.3, 2.3, 3.1):
+            a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
+            for n, m in zip((0, 240, *rng.integers(1, 240, size=2)),
+                            rng.permutation([1, 2, 41, 1001])):
+                xs = rng.uniform(-1.0, 1.0, size=m)
+                xs[:6] = rng.choice(ends, size=min(m, 6), replace=False)
+                try:
+                    coef_h, coef_l = polys._biortho_table(alpha, a, b, int(n))
+                except ScopeError:
+                    continue
+                t_h, t_l = dd_div(*dd_two_sum(1.0, -np.abs(xs)),
+                                  *dd_two_sum(1.0, np.abs(xs)))
+                r = np.where(xs < 0.0, 0, n)
+                step = np.where(xs < 0.0, 1, -1)
+                acc = coef_h[r], coef_l[r]
+                for _ in range(n):
+                    r = r + step
+                    acc = self.assert_step_is_the_reference(
+                        *acc, t_h, t_l, coef_h[r], coef_l[r])
+                compared += 1
+        assert compared == 32
+
+    def test_pow_equals_the_product_from_one(self):
+        # dd_pow starts from the power of n's lowest set bit and splits each
+        # square once; the plain loop from (1, 0) gives the same bits for
+        # every n and normalized base
+        def reference(h, l, n):
+            ph, pl = np.ones_like(h), np.zeros_like(h)
+            while n:
+                if n & 1:
+                    ph, pl = dd_mul(ph, pl, h, l)
+                n >>= 1
+                if n:
+                    h, l = dd_mul(h, l, h, l)
+            return ph, pl
+
+        rng = np.random.default_rng(41)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 24),
+                             1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 8)])
+        base_h, base_l = dd_two_sum(1.0, xs)
+        h = np.concatenate([0.5 * base_h, rng.uniform(0.5, 1.8, 8),
+                            [1.0, 0.5 * (1.0 + 2.0 ** -52), 1.0, 0.75]])
+        l = np.concatenate([0.5 * base_l, np.spacing(h[32:40]) * rng.uniform(
+            -0.5, 0.5, 8), [0.0, 0.0, 2.0 ** -54, -2.0 ** -55]])
+        assert np.array_equal(h + l, h)  # normalized
+        for n in range(1101):
+            got, expect = dd_pow(h, l, n), reference(h, l, n)
+            assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect)), n
 
     def test_vector_sum_cancellation(self):
         hs = np.array([1e16, 1.0, -1e16, 1e-8])
