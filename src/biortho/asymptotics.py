@@ -9,7 +9,10 @@ it is computable but unproven, gated behind allow_unproven.
 Convergence tables work with rho^(-n)-scaled quantities internally, so rows
 at n in the thousands stay finite even where rho^n underflows; relative
 errors are normalized by the non-oscillatory envelope, and rows where the
-oscillation factor passes near zero are flagged rather than dropped.
+oscillation factor passes near zero are flagged rather than dropped.  The
+contour references of a table or an envelope scan come from one shared pass
+over their degrees (quadrature.rodrigues_contour_degrees), and each row still
+raises its own error in n order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (ConvergenceError, InputError, ScopeError, check_angle,
 from .numerics import fit_loglog_slope, times_exp
 from .phase import SaddleData, saddle_data, sine_ratio, x_of_theta
 from .polys import Params, eval_biortho
-from .quadrature import rodrigues_contour_eval
+from .quadrature import _contour_outcomes
 
 __all__ = [
     "ConvergenceRow",
@@ -118,18 +121,34 @@ class RateReport:
     params: Params
 
 
-def _scaled_reference(p: Params, n: int, theta: float, mode: str,
-                      contour_tol: float, log_rho: float) -> float:
-    """P_n(x(theta)) / rho^n; an exact value that is not reliable raises
-    ScopeError in "exact" mode and gives way to the contour in "auto" mode."""
-    if mode == "exact" or (mode == "auto" and n <= _EXACT_REFERENCE_MAX_N):
-        result = eval_biortho(p, n, x_of_theta(p, theta))
-        if result.reliable:
-            return times_exp(result.value, -n * log_rho, f"reference at n={n}")
-        if mode == "exact":
-            raise ScopeError(f"convergence_table: the exact reference at n={n}"
-                             " is not reliable; use the contour reference")
-    return rodrigues_contour_eval(p, n, theta, contour_tol, scaled=True).value
+def _scaled_references(p: Params, theta: float, n_list: Sequence[int],
+                       mode: str, contour_tol: float, log_rho: float):
+    """P_n(x(theta)) / rho^n for each n of n_list, in order, raising each
+    row's error when its row is reached; an exact value that is not
+    reliable raises ScopeError in "exact" mode and gives way to the contour
+    in "auto" mode.  The first row that needs the contour takes it for the
+    later rows that need it too, in one rodrigues_contour_degrees pass."""
+    contour = {}
+    for i, n in enumerate(n_list):
+        if mode == "exact" or (mode == "auto" and n <= _EXACT_REFERENCE_MAX_N):
+            result = eval_biortho(p, n, x_of_theta(p, theta))
+            if result.reliable:
+                yield times_exp(result.value, -n * log_rho, f"reference at n={n}")
+                continue
+            if mode == "exact":
+                raise ScopeError(f"convergence_table: the exact reference at "
+                                 f"n={n} is not reliable; use the contour "
+                                 "reference")
+        if n not in contour:
+            batch = [m for m in n_list[i:] if m == n or (
+                m not in contour
+                and (mode == "contour" or m > _EXACT_REFERENCE_MAX_N))]
+            contour.update(zip(batch, _contour_outcomes(
+                p, batch, theta, contour_tol, scaled=True)))
+        outcome = contour[n]
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome.value
 
 
 def convergence_table(p: Params, theta: float, n_list: Sequence[int],
@@ -158,11 +177,12 @@ def convergence_table(p: Params, theta: float, n_list: Sequence[int],
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("n_list must be strictly increasing")
     sd = saddle_data(p, theta)
+    references = _scaled_references(p, theta, n_list, reference_mode,
+                                    contour_tol, math.log(sd.sine_ratio))
     rows = []
     for n in n_list:
         scaled_asym, scaled_env, ratio, log_rho = _leading_parts(p, sd, n, theta)
-        scaled_ref = _scaled_reference(p, n, theta, reference_mode,
-                                       contour_tol, log_rho)
+        scaled_ref = next(references)
         # rho^n underflows to 0 for huge n at alpha >= 1
         what = f"convergence_table at n={n}"
         reference = times_exp(scaled_ref, n * log_rho, what)
@@ -201,9 +221,8 @@ def envelope_bound(p: Params, theta: float, n_list: Sequence[int], *,
         raise ScopeError("envelope_bound applies to the proven range alpha >= 1")
     n_list = [check_degree(n, 1) for n in n_list]
     log_rho = math.log(sine_ratio(p.alpha, theta))  # ScopeError at rho <= 0
-    rows = []
-    for n in n_list:
-        scaled_ref = _scaled_reference(p, n, theta, "auto", contour_tol, log_rho)
-        rows.append((n, abs(scaled_ref) * math.sqrt(n)))
+    rows = [(n, abs(scaled_ref) * math.sqrt(n)) for n, scaled_ref in zip(
+        n_list, _scaled_references(p, theta, n_list, "auto", contour_tol,
+                                   log_rho))]
     const = max(v for _, v in rows)
     return const, rows

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -167,6 +166,9 @@ def _suite_task(payload):
 
 def _cmd_verify(args, config: dict) -> int:
     if args.suite == "all" and args.jobs > 1:
+        # imported here, since no other command starts a process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # sub-suites are independent; ordered dispatch keeps output stable
         parts = [name for name in SUITE_NAMES if name != "all"]
         payloads = [(name, args.seed, config) for name in parts]

@@ -390,29 +390,41 @@ def g_amplitude(p: Params, theta: float, phi):
         p, theta, phi)), "any", alpha=p.alpha, theta=theta), phi)
 
 
-def contour_integrand(p: Params, theta: float, phi, n: int, f0: complex):
+def contour_integrand(p: Params, theta: float, phi, n, f0: complex):
     """The contour integrand with the saddle factor taken out,
     e^{n (f - f0)} g at phi, for the degree n and f0 = f(theta).
 
     phi is a float or an array of angles in (0, pi), as for f_phase; the
-    contour oracle passes every node of one refinement level at once.  The
-    quantities that f and g share are computed once, and each value equals
+    contour oracle passes every node of one refinement level at once.  n is
+    a degree, or a list of degrees, which adds a last axis to the values,
+    one column per degree.  What f and g share, F = f - f0 and g are built
+    once for all the degrees, and each value equals
     np.exp(n * (f_phase - f0)) * g_amplitude bit for bit.  Where
     n Re(f - f0) < DEAD_LOG the exponential underflows: the value is exactly
     0 and g is not computed.  Overflow and invalid operations in f, the
     exponential and g give non-finite values without a warning, for the
     caller to check; ScopeError where the theta data leave the double range.
     """
+    many = isinstance(n, (list, tuple, np.ndarray))
+    ns = n if many else [n]
+
     def values():
         at, fr, e, den = _integrand_parts(p, theta, phi)
-        w = n * (_f_values(p.alpha, fr, den) - f0)
-        live = ~(w.real < DEAD_LOG)  # NaN stays live
-        kept = np.zeros(fr.phi.shape, dtype=complex)
-        kept[live] = np.exp(w[live]) * _g_values(
-            p, at, _Frame(*(q[live] for q in fr)), e[live], den[live])
+        f = _f_values(p.alpha, fr, den) - f0
+        ws = [n_k * f for n_k in ns]
+        lives = [~(w.real < DEAD_LOG) for w in ws]  # NaN stays live
+        # g at the nodes live for some degree: those of the smallest, as a
+        # larger degree only takes n Re(f - f0) further below 0
+        union = lives[0] if len(lives) == 1 else np.logical_or.reduce(lives)
+        g = _g_values(p, at, _Frame(*(q[union] for q in fr)), e[union],
+                      den[union])
+        kept = np.zeros((len(ns),) + fr.phi.shape, dtype=complex)
+        for row, w, live in zip(kept, ws, lives):
+            row[live] = np.exp(w[live]) * (g if live is union else g[live[union]])
         return kept
-    return _like(_in_range("contour_integrand", values, "any",
-                           alpha=p.alpha, theta=theta), phi)
+    kept = _in_range("contour_integrand", values, "any", alpha=p.alpha,
+                     theta=theta)
+    return kept.transpose(*range(1, kept.ndim), 0) if many else _like(kept[0], phi)
 
 
 def t_modulus(p: Params, theta: float, phi):

@@ -14,10 +14,14 @@ Only the outer sum in u = (1-x)/2, w = (1+x)/2 rounds: one double-double
 Horner pass in t = min(u, w)/max(u, w) times max(u, w)^n (_horner_dd), whose
 condition (largest |term| over |value|) times 3n(n+2) 2^-104 bounds its
 relative error.  x = 1 short-circuits to the correctly rounded normalization.
+eval_biortho_degrees runs several degrees on one grid as the rows of one
+Horner pass, each row's table zero-padded to the top degree, and
+eval_biortho_grid is its one-degree case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -34,6 +38,7 @@ __all__ = [
     "Params",
     "EvalResult",
     "eval_biortho",
+    "eval_biortho_degrees",
     "eval_biortho_grid",
     "jacobi_rep_grid",
     "jacobi_recurrence_grid",
@@ -224,70 +229,141 @@ def _unit_points(xs, what: str) -> np.ndarray:
     return xs
 
 
-def _horner_dd(coef_h, coef_l, n: int, xs: np.ndarray):
+def _horner_dd(tables, xs: np.ndarray):
     """Double-double sum_r coef[r] u^r w^(n-r), u = (1-x)/2, w = (1+x)/2,
     and its condition: largest |term| over |value| (inf at a zero value,
-    never below 1).  It is base^n sum_j c_j t^j with base = max(u, w) =
-    (1+|x|)/2 and t = min(u, w)/base in [0, 1]: c_j = coef[j] for x >= 0,
-    coef[n-j] for x < 0, one Horner pass for both orders.  The largest term
-    is tracked in floats for its index only (float powers drift by j ulps at
-    power j), then formed as |c_j| t_h^j (1 + j t_l/t_h).  First order in
-    u = 2^-53, term j carries its coefficient's rounding (u^2) and j times
-    t's error (9u^2), and passes j products (8u^2) and j + 1 sums (3u^2 of
-    the operands): (10n^2 + 14n + 1) u^2 cond over all terms, plus 8n u^2
-    from base^n and the last product, below 3n(n+2) 2^-104 cond.
+    never below 1), for each table (coef_h, coef_l) of degree n: one row of
+    values and one of conditions per table, each of xs's shape.  It is
+    base^n sum_j c_j t^j with base = max(u, w) = (1+|x|)/2 and t =
+    min(u, w)/base in [0, 1]: c_j = coef[j] for x >= 0, coef[n-j] for
+    x < 0, one Horner pass for both orders.  The largest term is tracked in
+    floats for its index only (float powers drift by j ulps at power j),
+    then formed as |c_j| t_h^j (1 + j t_l/t_h).  First order in u = 2^-53,
+    term j carries its coefficient's rounding (u^2) and j times t's error
+    (9u^2), and passes j products (8u^2) and j + 1 sums (3u^2 of the
+    operands): (10n^2 + 14n + 1) u^2 cond over all terms, plus 8n u^2 from
+    base^n and the last product, below 3n(n+2) 2^-104 cond.
 
-    The degree loop runs in place (numerics.dd_horner_step) in one work
-    arena per call, _HORNER_BLOCK points wide at most; a longer grid runs
-    block by block through it.
+    The rows run as one pass of top-degree steps.  A lower degree's table
+    is padded with zeros to the top degree, at its high end for x >= 0 and
+    its low end for x < 0, so its accumulator stays exactly 0 until the
+    step where its degree starts and takes its top coefficient there; its
+    largest-term index is shifted back by that start.  The degree loop runs
+    in place (numerics.dd_horner_step) in one work arena per call,
+    _HORNER_BLOCK (row, point) pairs wide at most; a longer grid runs block
+    by block through it.
     """
+    ns = [coef_h.size - 1 for coef_h, _ in tables]
+    pads = [max(ns) - n for n in ns]
+    if len(tables) == 1:
+        coef_h, coef_l = tables[0]
+    else:
+        coef_h, coef_l = (np.concatenate([
+            piece for pad, table in zip(pads, tables)
+            for piece in (np.zeros(pad), table[part], np.zeros(pad))])
+            for part in (0, 1))
+    # each row's padded table in the flat one: its first and last index
+    lasts = [end - 1 for end in itertools.accumulate(
+        n + 2 * pad + 1 for n, pad in zip(ns, pads))]
+    firsts = [last - n - 2 * pad for last, n, pad in zip(lasts, ns, pads)]
+    rows = ns, pads, firsts, lasts
     flat = xs.ravel()
-    if flat.size == 1:
+    if flat.size * len(tables) == 1:
         # numpy takes a slow path (about 2.4x per call) for an operation that
         # writes over its own operand when the array has one element
         flat = np.repeat(flat, 2)
-    values, cond = np.empty((2, flat.size))
-    work = np.empty((4, min(flat.size, _HORNER_BLOCK)))
+    width = max(1, _HORNER_BLOCK // len(tables))
+    values, cond = np.empty((2, len(tables), flat.size))
+    work = np.empty((4, len(tables) * min(flat.size, width)))
     mask = np.empty(work.shape[1], dtype=bool)
-    for start in range(0, flat.size, _HORNER_BLOCK):
-        block = slice(start, min(start + _HORNER_BLOCK, flat.size))
-        width = block.stop - start
-        values[block], cond[block] = _horner_block(
-            coef_h, coef_l, n, flat[block], work[:, :width], mask[:width])
-    return values[:xs.size].reshape(xs.shape), cond[:xs.size].reshape(xs.shape)
+    for start in range(0, flat.size, width):
+        block = slice(start, min(start + width, flat.size))
+        size = len(tables) * (block.stop - start)
+        values[:, block], cond[:, block] = _horner_block(
+            coef_h, coef_l, rows, flat[block], work[:, :size], mask[:size])
+    shape = (len(tables),) + xs.shape
+    return (values[:, :xs.size].reshape(shape),
+            cond[:, :xs.size].reshape(shape))
 
 
-def _horner_block(coef_h, coef_l, n: int, xs, work, mask):
-    # _horner_dd on one block of points, with its work arena
-    flip = xs < 0.0
+def _horner_block(coef_h, coef_l, rows, xs, work, mask):
+    # _horner_dd on one block of points, every row, with its work arena; a
+    # (row, point) pair is element row * xs.size + point
+    ns, pads, firsts, lasts = rows
+    width = xs.size
+
+    def of_rows(a):  # a value per row, per pair (a scalar for one row)
+        return a[0] if len(a) == 1 else np.repeat(a, width)
+
+    def of_points(a):  # a value per point, per pair
+        return a if len(ns) == 1 else np.tile(a, len(ns))
     base_h, base_l = dd_two_sum(1.0, np.abs(xs))  # 1 +- |x| are exact
-    t_h, t_l = dd_div(*dd_two_sum(1.0, -np.abs(xs)), base_h, base_l)
-    # each point's coefficient index: n down to 0, or 0 up to n for x < 0
-    r, step = np.where(flip, 0, n), np.where(flip, 1, -1)
+    t_h, t_l = map(of_points, dd_div(*dd_two_sum(1.0, -np.abs(xs)),
+                                     base_h, base_l))
+    flip = of_points(xs < 0.0)
+    # each pair's coefficient index: its row's last down to its first, or up
+    # from its first for x < 0
+    r, step = np.where(flip, of_rows(firsts), of_rows(lasts)), np.where(flip, 1, -1)
     acc_h, acc_l = coef_h[r], coef_l[r]
-    peak, top = np.abs(acc_h), np.zeros(xs.shape, dtype=int)
+    peak, top = np.abs(acc_h), np.zeros(flip.shape, dtype=int)
     t_halves = _split(t_h)
-    for k in range(1, n + 1):
+    row_pairs = [slice(row * width, (row + 1) * width) for row in range(len(ns))]
+    starts = {}  # step -> the pairs of the rows whose degree starts there
+    for pairs, pad in zip(row_pairs, pads):
+        if pad:
+            starts.setdefault(pad, []).append(pairs)
+    for k in range(1, max(ns) + 1):
         r += step
         c_h = coef_h[r]
         dd_horner_step(acc_h, acc_l, t_h, t_l, t_halves, c_h, coef_l[r], work)
+        for pairs in starts.get(k, ()):
+            # from acc = 0: c itself, where 0 t + c might round c_h + c_l
+            acc_h[pairs], acc_l[pairs] = c_h[pairs], coef_l[r[pairs]]
         peak *= t_h
         mag = np.abs(c_h, out=c_h)
         np.greater(mag, peak, out=mask)
         np.putmask(top, mask, k)
         np.maximum(peak, mag, out=peak)
-    j, rel_l = n - top, np.divide(t_l, t_h, out=np.zeros_like(t_h), where=t_h > 0.0)
-    peak = np.abs(coef_h[np.where(flip, top, j)]) * t_h ** j * (1.0 + j * rel_l)
-    values = np.add(*dd_mul(acc_h, acc_l, *dd_pow(0.5 * base_h, 0.5 * base_l, n)))
+    if starts:
+        # a row's top counts from its start, and stays there while its first
+        # coefficients are 0
+        top = np.maximum(top - of_rows(pads), 0)
+    j, rel_l = of_rows(ns) - top, np.divide(t_l, t_h, out=np.zeros_like(t_h),
+                                            where=t_h > 0.0)
+    r = np.where(flip, top, j)
+    if len(ns) > 1:
+        r += of_rows([first + pad for first, pad in zip(firsts, pads)])
+    peak = np.abs(coef_h[r]) * t_h ** j * (1.0 + j * rel_l)
+    values = np.empty(flip.shape)
+    for pairs, n in zip(row_pairs, ns):
+        np.add(*dd_mul(acc_h[pairs], acc_l[pairs],
+                       *dd_pow(0.5 * base_h, 0.5 * base_l, n)), out=values[pairs])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = np.where(values != 0.0, peak / np.abs(acc_h + acc_l), np.inf)
-    return values, np.maximum(cond, 1.0)
+    return values.reshape(-1, width), np.maximum(cond, 1.0).reshape(-1, width)
+
+
+def eval_biortho_degrees(p: Params, ns, xs) -> Tuple[np.ndarray, np.ndarray]:
+    """eval_biortho_grid at each degree of ns, as the rows of one Horner
+    pass: (values, condition_estimates), each of shape (len(ns),) + the
+    shape of xs (at least one-dimensional), row k bit for bit that of
+    eval_biortho_grid(p, ns[k], xs).  Raises what the first of those calls
+    to fail would raise."""
+    tables = []
+    for n in ns:
+        n = check_degree(n)
+        if not tables:
+            xs = _unit_points(xs, "eval_biortho")
+        tables.append(_biortho_table(p.alpha, p.a, p.b, n))
+    if not tables:
+        return np.empty((2, 0) + _unit_points(xs, "eval_biortho").shape)
+    return _horner_dd(tables, xs)
 
 
 def eval_biortho_grid(p: Params, n: int, xs) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized biorthogonal evaluation; returns (values, condition_estimates)."""
-    n, xs = check_degree(n), _unit_points(xs, "eval_biortho")
-    return _horner_dd(*_biortho_table(p.alpha, p.a, p.b, n), n, xs)
+    values, cond = eval_biortho_degrees(p, [n], xs)
+    return values[0], cond[0]
 
 
 def eval_biortho(p: Params, n: int, x: float) -> EvalResult:
@@ -309,25 +385,34 @@ def jacobi_rep_grid(a: float, b: float, n: int, xs) -> Tuple[np.ndarray, np.ndar
     """Vectorized classical-representation evaluation with condition estimates."""
     n, xs = check_degree(n), _unit_points(xs, "jacobi_rep_grid")
     Params(1.0, a, b)
-    return _horner_dd(*_jacobi_table(a, b, n), n, xs)
+    values, cond = _horner_dd([_jacobi_table(a, b, n)], xs)
+    return values[0], cond[0]
 
 
-def jacobi_recurrence_grid(a: float, b: float, n: int, xs) -> np.ndarray:
-    """Three-term recurrence oracle, vectorized over x."""
-    n = check_degree(n)
-    Params(1.0, a, b)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+def _recurrence_rows(a: float, b: float, n: int, xs: np.ndarray):
+    """P_0 .. P_n at xs by the three-term recurrence, one degree at a time."""
     p_prev = np.ones_like(xs)
+    yield p_prev
     if n == 0:
-        return p_prev
+        return
     p_cur = (a + 1.0) + (a + b + 2.0) * (xs - 1.0) / 2.0
+    yield p_cur
     for k in range(2, n + 1):
         c0 = 2.0 * k + a + b
         denom = 2.0 * k * (k + a + b) * (c0 - 2.0)
         p_next = ((c0 - 1.0) * ((c0 * (c0 - 2.0)) * xs + (a * a - b * b)) * p_cur
                   - 2.0 * (k + a - 1.0) * (k + b - 1.0) * c0 * p_prev) / denom
         p_prev, p_cur = p_cur, p_next
-    return p_cur
+        yield p_cur
+
+
+def jacobi_recurrence_grid(a: float, b: float, n: int, xs) -> np.ndarray:
+    """Three-term recurrence oracle, vectorized over x."""
+    n = check_degree(n)
+    Params(1.0, a, b)
+    for p_n in _recurrence_rows(a, b, n, np.atleast_1d(np.asarray(xs, dtype=float))):
+        pass
+    return p_n
 
 
 def normalization_at_one(p: Params, n: int) -> float:

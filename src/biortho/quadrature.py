@@ -23,6 +23,12 @@ call only in a level the rule uses, while the integrand's pole check covers
 every node of the call (an exact hit at an unused node has measure zero).
 The error estimate has a rounding floor, so it does not fall below what the
 integrand values themselves can resolve.
+
+rodrigues_contour_degrees: the same rule for several degrees at one
+(alpha, a, b, theta) in one pass.  The nodes do not depend on n, so each
+integrand call builds the frame, f - f0 and g once for every degree still
+running, and each degree keeps the sums, floor, stop test and evaluation cap
+of its own call: rodrigues_contour_eval is its one-degree case.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .phase import contour_integrand, saddle_data
 from .polys import Params
 
 __all__ = ["QuadResult", "integrate_interval", "integrate_moments",
-           "rodrigues_contour_eval"]
+           "rodrigues_contour_degrees", "rodrigues_contour_eval"]
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
@@ -253,26 +259,155 @@ def _contour_nodes(theta: float, levels: range):
     return phi[keep], (r * unit_weight)[keep], bounds.tolist()
 
 
-def _contour_levels(p: Params, theta: float, n: int, f0: complex, tol: float):
-    """The nodes, weights and integrand values of the contour rule, level by
-    level, with the count of nodes evaluated so far: levels 0 to
-    _FIRST_BATCH - 1 from one integrand call, then one call per level.
-    Raises ConvergenceError before a call would take the count over
-    _MAX_EVALUATIONS."""
+class _Degree:
+    """One degree of a contour pass: its own call's stop limit (tol times
+    the scale prior), rounding floor, sums, stop test and result."""
+
+    __slots__ = ("index", "n", "exponent", "limit", "floor_factor", "total",
+                 "l1_total", "err_total")
+
+    def __init__(self, index: int, n: int, sd, tol: float):
+        self.index, self.n, self.exponent = index, n, n * sd.f_saddle.real
+        # prior for the peak contribution: |g(theta)| times the Gaussian width
+        gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(sd.f_second), 1e-12)))
+        self.limit = tol * (abs(sd.g_saddle) * min(gauss_width, _PI))
+        # Rounding floor: each value has a relative error of about (n+1) eps
+        # (n from the exponent) times 1 + cond_scale / (pi - phi).
+        self.floor_factor = 2.0 * (n + 1) * _EPS
+        self.total, self.l1_total = 0j, 0.0
+
+    def add_level(self, h: float, weight, values, cond_weight) -> bool:
+        """Adds the values of the level of step h; whether the stop test
+        passes (never at level 0, h = 1)."""
+        if not np.isfinite(values).all():
+            raise ConvergenceError(
+                "rodrigues_contour_eval: non-finite integrand value")
+        contrib = weight * values
+        rounding = np.abs(contrib) * cond_weight
+        prev, self.total = self.total, 0.5 * self.total + h * complex(np.sum(contrib))
+        self.l1_total = 0.5 * self.l1_total + h * float(np.sum(rounding))
+        self.err_total = max(abs(self.total - prev),
+                             self.floor_factor * self.l1_total)
+        return h < 1.0 and self.err_total <= self.limit
+
+    def result(self, theta: float, scaled: bool, evaluations: int) -> QuadResult:
+        n = self.n
+        if self.l1_total == 0.0:
+            raise ScopeError(f"rodrigues_contour_eval: every integrand value "
+                             f"underflows at n={n}, theta={theta!r}")
+        # P_n = rho^n * Re{e^{i n theta} J / (pi i)} with J the scaled integral
+        phase_factor = cmath.exp(1j * n * theta)
+        scaled_value = (phase_factor * self.total / (1j * _PI)).real
+        scaled_err = self.err_total / _PI
+        if scaled:
+            return QuadResult(scaled_value, scaled_err, evaluations)
+        what, hint = "rodrigues_contour_eval", "; scaled=True gives P_n / rho^n"
+        return QuadResult(times_exp(scaled_value, self.exponent, what, hint),
+                          times_exp(scaled_err, self.exponent, what, hint),
+                          evaluations)
+
+
+_FAILURES = (InputError, ScopeError, ConvergenceError)
+
+
+def _contour_outcomes(p: Params, ns, theta: float, tol: float,
+                      scaled: bool) -> list:
+    """For each degree of ns, the QuadResult of its rodrigues_contour_eval
+    call or the library error that the call raises, from one pass over the
+    levels: each integrand call serves every degree still running, and
+    each degree keeps its own sums, floor, stop test and evaluation cap."""
+    outcomes: list = [None] * len(ns)
+    threshold = max(1.0 - (p.a + 1.0) / p.alpha, -p.b)
+    valid = []
+    for i, n in enumerate(ns):
+        try:
+            n = check_degree(n, 1)
+            if n < threshold:
+                raise InputError(
+                    f"n={n} is below the integrand-boundedness threshold "
+                    f"max(1-(a+1)/alpha, -b) = {threshold:.3f}")
+            valid.append((i, n))
+        except _FAILURES as exc:
+            outcomes[i] = exc
+    try:
+        theta, tol = check_angle(theta, "theta"), check_tol(tol)
+        sd = saddle_data(p, theta)
+        # The rounding floor's conditioning weight: as phi -> pi, Re upper =
+        # cos y - big and Re den = big^alpha cos z - s are differences of
+        # numbers near 1, against |upper| >= sin y and |den| >= big^alpha
+        # sin z, of order (pi-phi)/(1+alpha) and alpha (pi-phi)/(1+alpha).
+        try:
+            cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
+        except OverflowError:
+            raise ScopeError("rodrigues_contour_eval: (1+alpha)^2 overflows "
+                             f"at alpha={p.alpha!r}") from None
+    except _FAILURES as exc:
+        for i, _ in valid:
+            outcomes[i] = exc
+        return outcomes
+    running = [_Degree(i, n, sd, tol) for i, n in valid]
+
+    # The saddle splits the contour into [0, theta] and [theta, pi], which
+    # puts the peak of e^{n(f-f0)} at an end of each half.  Level 0 has
+    # h = 1; each later level halves h and adds the odd multiples.  Levels
+    # 0 to _FIRST_BATCH - 1 share one integrand call and each later level
+    # has one; h runs on across the calls.
     batches = itertools.chain(
         [range(_FIRST_BATCH)],
         (range(level, level + 1) for level in itertools.count(_FIRST_BATCH)))
-    evaluations = 0
+    h, evaluations = 1.0, 0
     for levels in batches:
+        if not running:
+            break
         phi, weight, bounds = _contour_nodes(theta, levels)
-        if evaluations + phi.size > _MAX_EVALUATIONS:
-            raise ConvergenceError(
-                f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} integrand "
-                f"evaluations at tol {tol:.1e}")
-        values = contour_integrand(p, theta, phi, n, f0)
+        try:
+            if evaluations + phi.size > _MAX_EVALUATIONS:
+                raise ConvergenceError(
+                    f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} "
+                    f"integrand evaluations at tol {tol:.1e}")
+            values = contour_integrand(p, theta, phi, [d.n for d in running],
+                                       sd.f_saddle)
+        except _FAILURES as exc:
+            for d in running:
+                outcomes[d.index] = exc
+            break
         evaluations += phi.size
+        columns = [(d, values[:, column]) for column, d in enumerate(running)]
         for lo, hi in itertools.pairwise(bounds):
-            yield phi[lo:hi], weight[lo:hi], values[lo:hi], evaluations
+            cond_weight = 1.0 + cond_scale / (_PI - phi[lo:hi])
+            finished = False
+            for d, column in columns:
+                try:
+                    if d.add_level(h, weight[lo:hi], column[lo:hi], cond_weight):
+                        outcomes[d.index] = d.result(theta, scaled, evaluations)
+                        finished = True
+                except _FAILURES as exc:
+                    outcomes[d.index], finished = exc, True
+            h *= 0.5
+            if finished:
+                columns = [(d, c) for d, c in columns if outcomes[d.index] is None]
+                if not columns:
+                    break
+        running = [d for d, _ in columns]
+    return outcomes
+
+
+def rodrigues_contour_degrees(p: Params, ns: Sequence[int], theta: float,
+                              tol: float = DEFAULTS["contour_tol"], *,
+                              scaled: bool = False) -> List[QuadResult]:
+    """rodrigues_contour_eval at each degree of ns, in one pass.
+
+    Each integrand call builds the frame, F = f - f0 and g once for every
+    degree still running, and each degree keeps the sums, floor, stop test
+    and evaluation cap of its own call, so each result equals its own
+    rodrigues_contour_eval call bit for bit, evaluations included.  Raises
+    what the first of those calls to fail would raise.
+    """
+    outcomes = _contour_outcomes(p, ns, theta, tol, scaled)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def rodrigues_contour_eval(p: Params, n: int, theta: float,
@@ -287,7 +422,8 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
 
     Levels 0-4 are evaluated in one integrand call and every later level in
     one call each; evaluations counts every node evaluated, so a call that
-    stops before level 4 reports all 212-214 nodes of the first batch.
+    stops before level 4 reports all 212-214 nodes of the first batch.  It
+    is the one-degree case of rodrigues_contour_degrees.
 
     Requires n >= max(1 - (a+1)/alpha, -b) (integrand boundedness at the
     branch points) and n >= 1.  Raises ConvergenceError when the next
@@ -298,58 +434,4 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     value underflows or when the saddle data, (1+alpha)^2 or, with
     scaled=False, rho^n, the value or its error estimate leave the range.
     """
-    n = check_degree(n, 1)
-    threshold = max(1.0 - (p.a + 1.0) / p.alpha, -p.b)
-    if n < threshold:
-        raise InputError(
-            f"n={n} is below the integrand-boundedness threshold "
-            f"max(1-(a+1)/alpha, -b) = {threshold:.3f}")
-    theta, tol = check_angle(theta, "theta"), check_tol(tol)
-
-    sd = saddle_data(p, theta)
-    # prior for the peak contribution: |g(theta)| times the Gaussian width
-    gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(sd.f_second), 1e-12)))
-    scale = abs(sd.g_saddle) * min(gauss_width, _PI)
-    # Rounding floor: each value has a relative error of about (n+1) eps (n
-    # from the exponent) times 1 + cond_scale / (pi - phi).  As phi -> pi,
-    # Re upper = cos y - big and Re den = big^alpha cos z - s are differences
-    # of numbers near 1, against |upper| >= sin y and |den| >= big^alpha sin z,
-    # of order (pi-phi)/(1+alpha) and alpha (pi-phi)/(1+alpha).
-    floor_factor = 2.0 * (n + 1) * _EPS
-    try:
-        cond_scale = (1.0 + p.alpha) ** 2 / p.alpha
-    except OverflowError:
-        raise ScopeError("rodrigues_contour_eval: (1+alpha)^2 overflows at "
-                         f"alpha={p.alpha!r}") from None
-
-    # The saddle splits the contour into [0, theta] and [theta, pi], which
-    # puts the peak of e^{n(f-f0)} at an end of each half.  Level 0 has
-    # h = 1; each later level halves h and adds the odd multiples.
-    total, l1_total, h = 0j, 0.0, 1.0
-    levels = _contour_levels(p, theta, n, sd.f_saddle, tol)
-    for level, (phi, weight, values, evaluations) in enumerate(levels):
-        if not np.isfinite(values).all():
-            raise ConvergenceError(
-                "rodrigues_contour_eval: non-finite integrand value")
-        contrib = weight * values
-        rounding = np.abs(contrib) * (1.0 + cond_scale / (_PI - phi))
-        prev, total = total, 0.5 * total + h * complex(np.sum(contrib))
-        l1_total = 0.5 * l1_total + h * float(np.sum(rounding))
-        err_total = max(abs(total - prev), floor_factor * l1_total)
-        if level and err_total <= tol * scale:
-            break
-        h *= 0.5
-    if l1_total == 0.0:
-        raise ScopeError(f"rodrigues_contour_eval: every integrand value "
-                         f"underflows at n={n}, theta={theta!r}")
-
-    # P_n = rho^n * Re{e^{i n theta} J / (pi i)} with J the scaled integral
-    phase_factor = cmath.exp(1j * n * theta)
-    scaled_value = (phase_factor * total / (1j * _PI)).real
-    scaled_err = err_total / _PI
-    if scaled:
-        return QuadResult(scaled_value, scaled_err, evaluations)
-    what, hint = "rodrigues_contour_eval", "; scaled=True gives P_n / rho^n"
-    return QuadResult(times_exp(scaled_value, n * sd.f_saddle.real, what, hint),
-                      times_exp(scaled_err, n * sd.f_saddle.real, what, hint),
-                      evaluations)
+    return rodrigues_contour_degrees(p, [n], theta, tol, scaled=scaled)[0]

@@ -27,9 +27,10 @@ from .errors import ConvergenceError, InputError, check_degree, check_tol
 from .numerics import fd_derivative
 from .polys import (
     Params,
+    _recurrence_rows,
     chu_vandermonde_sides,
+    eval_biortho_degrees,
     eval_biortho_grid,
-    jacobi_recurrence_grid,
 )
 from .quadrature import integrate_moments
 
@@ -373,9 +374,10 @@ def reduction_check(a: float, b: float,
     xs = np.linspace(-1.0, 1.0, 41)
     worst = -1.0
     worst_at = None
-    for n in range(check_degree(n_max) + 1):
-        vals, _ = eval_biortho_grid(p, n, xs)
-        ref = jacobi_recurrence_grid(a, b, n, xs)
+    degrees = range(check_degree(n_max) + 1)
+    values, _ = eval_biortho_degrees(p, degrees, xs)
+    for n, vals, ref in zip(degrees, values,
+                            _recurrence_rows(a, b, degrees[-1], xs)):
         rel = np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))
         idx = int(np.argmax(rel))
         if rel[idx] > worst:

@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from biortho import phase
+from biortho import asymptotics, phase
 from biortho.asymptotics import (
     convergence_table,
     darboux_biortho,
@@ -12,7 +12,7 @@ from biortho.asymptotics import (
 )
 from biortho.errors import ConvergenceError, ScopeError
 from biortho.numerics import fit_loglog_slope
-from biortho.polys import Params, jacobi_recurrence_grid
+from biortho.polys import EvalResult, Params, eval_biortho, jacobi_recurrence_grid
 from biortho.quadrature import rodrigues_contour_eval
 
 PI = math.pi
@@ -117,6 +117,51 @@ class TestConvergenceTable:
                                    [2 ** k for k in range(3, 11)], "auto")
         assert -1.3 <= report.slope <= -0.7
 
+    def test_contour_rows_are_the_single_calls(self):
+        # the contour references come from one pass over the degrees, each
+        # bit for bit its own call
+        n_list = [2 ** k for k in range(3, 13)]
+        for mode in ("contour", "auto"):
+            for p, theta in [(Params(2.0, 0.5, -0.3), 2 * PI / 5),
+                             (Params(1.0, 0.0, 0.0), PI / 4),
+                             (Params(4.0, 0.5, 0.0), PI / 2)]:
+                report = convergence_table(p, theta, n_list, mode,
+                                           envelope_threshold=0.0)
+                for row in report.rows:
+                    if mode == "auto" and row.n <= 40:
+                        continue
+                    ref = rodrigues_contour_eval(p, row.n, theta, 1e-10,
+                                                 scaled=True).value
+                    assert row.scaled_reference.hex() == ref.hex(), (p, row.n)
+
+    def test_row_errors_in_n_order(self, monkeypatch):
+        # e^{n/4} at one node overflows from n = 2840 on, so the contour
+        # reference fails at n = 4096 only
+        p, theta, n_list = Params(2.0, 0.5, -0.3), PI / 3, [8, 16, 32, 4096]
+        f0, inner = phase.saddle_data(p, theta).f_saddle, phase._f_values
+
+        def spoiled(alpha, fr, den):
+            f = inner(alpha, fr, den)
+            f.flat[f.size // 2] = f0 + 0.25
+            return f
+
+        monkeypatch.setattr(phase, "_f_values", spoiled)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            convergence_table(p, theta, n_list, "auto")
+
+        # an unreliable exact value at n = 8 takes the contour, which runs
+        # n = 8 and n = 4096 in one pass; the exact reference at n = 16
+        # fails after it and still comes first
+        def exact(p, n, x):
+            if n == 16:
+                raise ScopeError("the exact reference at n=16")
+            return EvalResult(0.0, math.inf, math.inf) if n == 8 \
+                else eval_biortho(p, n, x)
+
+        monkeypatch.setattr(asymptotics, "eval_biortho", exact)
+        with pytest.raises(ScopeError, match="n=16"):
+            convergence_table(p, theta, n_list, "auto")
+
     def test_insufficient_rows(self):
         with pytest.raises(ConvergenceError):
             convergence_table(Params(1.0, 0.0, 0.0), PI / 2, [8, 16], "contour")
@@ -133,6 +178,22 @@ class TestEnvelopeBound:
         assert const == pytest.approx(math.sqrt(2.0 / PI), rel=0.2)
         med = statistics.median(v for _, v in rows)
         assert const <= 10.0 * med
+
+    def test_rows_are_the_single_references(self):
+        p, theta = Params(2.0, 0.5, -0.3), PI / 3
+        n_list = [8, 16, 32, 64, 128, 256, 1024]
+        const, rows = envelope_bound(p, theta, n_list)
+        log_rho = math.log(phase.sine_ratio(p.alpha, theta))
+        expected = []
+        for n in n_list:
+            if n <= 40:
+                ref = eval_biortho(p, n, phase.x_of_theta(p, theta)).value \
+                    * math.exp(-n * log_rho)
+            else:
+                ref = rodrigues_contour_eval(p, n, theta, 1e-10, scaled=True).value
+            expected.append((n, abs(ref) * math.sqrt(n)))
+        assert rows == expected
+        assert const == max(v for _, v in expected)
 
     def test_finite_up_to_256(self):
         const, rows = envelope_bound(Params(2.0, 0.0, 0.0), PI / 3,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from biortho.errors import ConvergenceError, InputError, ScopeError
 
 PI = math.pi
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_all_seed7.jsonl"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -260,6 +264,16 @@ class TestVerify:
         assert main(["verify", "--suite", "all", "--seed", "7", "--jobs", jobs,
                      "--output", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only `verify --suite all --jobs N` (N > 1) starts a process pool,
+        # and it imports concurrent.futures itself
+        probe = ("import sys, biortho.cli; "
+                 "sys.exit('concurrent.futures' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=60)
+        assert done.returncode == 0
 
     def test_failing_check_exits_one(self, capsys, tmp_path):
         # an unreachable tolerance forces a fail record

@@ -15,6 +15,7 @@ from biortho.polys import (
     Params,
     chu_vandermonde_sides,
     eval_biortho,
+    eval_biortho_degrees,
     eval_biortho_grid,
     jacobi_recurrence_grid,
     jacobi_rep_grid,
@@ -379,9 +380,10 @@ class TestHornerKernel:
         # through libm pow, which may round differently elsewhere
         rng = np.random.default_rng(29)
         ends = np.array([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324])
-        compared = 0
+        compared = rows = 0
         for alpha in (0.5, 1.0, 2.0, 4.0, 0.7, 1.3, 2.3, 3.1):
             a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
+            degrees = []
             for n, m in zip((0, 240, *rng.integers(1, 240, size=2)),
                             rng.permutation([1, 2, 41, 1001])):
                 xs = rng.uniform(-1.0, 1.0, size=m)
@@ -395,7 +397,16 @@ class TestHornerKernel:
                 assert values.tobytes() == ref_values.tobytes(), (alpha, n, m)
                 assert cond.tobytes() == ref_cond.tobytes(), (alpha, n, m)
                 compared += 1
-        assert compared == 32
+                degrees.append(int(n))
+            # the same degrees as the rows of one pass, on the last grid
+            values, cond = eval_biortho_degrees(Params(alpha, a, b), degrees, xs)
+            for n, row_values, row_cond in zip(degrees, values, cond):
+                ref_values, ref_cond = _horner_reference(
+                    *polys._biortho_table(alpha, a, b, n), n, xs)
+                assert row_values.tobytes() == ref_values.tobytes(), (alpha, n)
+                assert row_cond.tobytes() == ref_cond.tobytes(), (alpha, n)
+                rows += 1
+        assert compared == rows == 32
 
     def test_largest_term_at_every_point(self):
         # value = acc base^n and cond = peak/|acc|, so cond |value| is the
@@ -403,7 +414,7 @@ class TestHornerKernel:
         # value itself is wrong; the float powers of t alone drift by up to
         # j ulps at power j
         rng = np.random.default_rng(23)
-        checked = 0
+        checked = [0, 0]  # points of the lower and of the drawn degree
         for _ in range(8):
             alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0, 0.7, 2.9]))
             a, b = (float(v) for v in rng.uniform(-0.95, 2.5, size=2))
@@ -413,15 +424,75 @@ class TestHornerKernel:
                 values, cond = eval_biortho_grid(Params(alpha, a, b), n, xs)
             except ScopeError:
                 continue
-            for x, value, c in zip(xs, values, cond):
-                if not (c > 1.0 and 0.0 < abs(value) < math.inf):
-                    continue
-                terms, den = _exact_bernstein_terms(alpha, a, b, n, float(x))
-                peak = Fraction(max(abs(t) for t in terms), den)
-                rel = abs(Fraction(float(c)) * abs(Fraction(float(value))) - peak) / peak
-                assert rel <= 8 * 2.0 ** -53, (alpha, a, b, n, x, float(rel))
-                checked += 1
-        assert checked >= 20
+            # and on the lower row of a pass with a lower degree, whose row
+            # at n is the call at n alone
+            low = n // 3 + 1
+            rows_values, rows_cond = eval_biortho_degrees(Params(alpha, a, b),
+                                                          [low, n], xs)
+            assert rows_values[1].tobytes() == values.tobytes()
+            assert rows_cond[1].tobytes() == cond.tobytes()
+            for m, m_values, m_cond in ((n, values, cond),
+                                        (low, rows_values[0], rows_cond[0])):
+                for x, value, c in zip(xs, m_values, m_cond):
+                    if not (c > 1.0 and 0.0 < abs(value) < math.inf):
+                        continue
+                    terms, den = _exact_bernstein_terms(alpha, a, b, m, float(x))
+                    peak = Fraction(max(abs(t) for t in terms), den)
+                    rel = abs(Fraction(float(c)) * abs(Fraction(float(value)))
+                              - peak) / peak
+                    assert rel <= 8 * 2.0 ** -53, (alpha, a, b, m, x, float(rel))
+                    checked[m == n] += 1
+        assert min(checked) >= 20
+
+
+class TestDegreeRows:
+    """eval_biortho_degrees runs its degrees as the rows of one Horner pass;
+    each row is the grid call at its degree alone, bit for bit."""
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(41)
+        rows = 0
+        for alpha in (0.5, 1.0, 2.0, 4.0, 0.7, 1.3, 2.3, 3.1):
+            p = Params(alpha, *(float(v) for v in rng.uniform(-0.95, 2.5, size=2)))
+            for m in (1, 2, 41):
+                ns = [int(n) for n in rng.integers(0, 80, size=4)] + [0, 3]
+                rng.shuffle(ns)
+                xs = rng.uniform(-1.0, 1.0, size=m)
+                xs[:3] = [1.0, -1.0, 0.0][:m]
+                values, cond = eval_biortho_degrees(p, ns, xs)
+                assert values.shape == cond.shape == (len(ns), m)
+                for n, row_values, row_cond in zip(ns, values, cond):
+                    one_values, one_cond = eval_biortho_grid(p, n, xs)
+                    assert row_values.tobytes() == one_values.tobytes(), (p, n)
+                    assert row_cond.tobytes() == one_cond.tobytes(), (p, n)
+                    rows += 1
+        assert rows == 144
+
+    def test_rows_across_blocks(self, monkeypatch):
+        # a grid wider than a block runs block by block for every row
+        monkeypatch.setattr(polys, "_HORNER_BLOCK", 64)
+        p, xs = Params(2.3, 0.3, -0.5), np.linspace(-1.0, 1.0, 101)
+        values, cond = eval_biortho_degrees(p, [7, 30, 0, 30], xs.reshape(1, 101))
+        assert values.shape == (4, 1, 101)
+        for n, row_values, row_cond in zip([7, 30, 0, 30], values, cond):
+            ref_values, ref_cond = _horner_reference(
+                *polys._biortho_table(2.3, 0.3, -0.5, n), n, xs)
+            assert row_values.ravel().tobytes() == ref_values.tobytes(), n
+            assert row_cond.ravel().tobytes() == ref_cond.tobytes(), n
+
+    def test_errors_in_degree_order(self):
+        p = Params(2.0, 0.5, -0.3)
+        # what the grid calls at each degree raise first
+        with pytest.raises(InputError, match="degree"):
+            eval_biortho_degrees(p, [-1, 3], [2.0])
+        with pytest.raises(InputError, match=r"\|x\| <= 1"):
+            eval_biortho_degrees(p, [3, -1], [0.5, 2.0])
+        with pytest.raises(InputError, match="degree"):
+            eval_biortho_degrees(p, [3, -1], [0.5])
+        with pytest.raises(ScopeError, match="degree 1030"):
+            eval_biortho_degrees(p, [3, 1030, -1], [0.5])
+        values, cond = eval_biortho_degrees(p, [], [0.5, 0.25])
+        assert values.shape == cond.shape == (0, 2)
 
 
 class TestClassicalJacobi:

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biortho import phase, quadrature
-from biortho.errors import ConvergenceError, ScopeError
+from biortho.errors import ConvergenceError, InputError, ScopeError
 from biortho.polys import Params, eval_biortho, eval_biortho_grid, jacobi_rep_grid
 from biortho.quadrature import (
     QuadResult,
     integrate_interval,
     integrate_moments,
+    rodrigues_contour_degrees,
     rodrigues_contour_eval,
 )
 
@@ -534,6 +535,165 @@ class TestFirstBatch:
             == (clean.value.hex(), clean.error_estimate.hex(), clean.evaluations)
         with pytest.raises(ConvergenceError, match="non-finite"):
             rodrigues_contour_eval(p, n, theta, 1e-9)
+
+
+def outcome(call):
+    """What a call returns as comparable data: its result's bits, or the
+    type and message of the error it raises."""
+    try:
+        res = call()
+    except (InputError, ScopeError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return [(r.value.hex(), r.error_estimate.hex(), r.evaluations)
+            for r in (res if isinstance(res, list) else [res])]
+
+
+def singles(p, ns, theta, tol, scaled=False):
+    """The first error of the single calls at ns, or all their results."""
+    results = []
+    for n in ns:
+        one = outcome(lambda: rodrigues_contour_eval(p, n, theta, tol,
+                                                     scaled=scaled))
+        if isinstance(one, tuple):
+            return one
+        results += one
+    return results
+
+
+def batch(p, ns, theta, tol, scaled=False):
+    return outcome(lambda: rodrigues_contour_degrees(p, ns, theta, tol,
+                                                     scaled=scaled))
+
+
+class TestDegreeBatch:
+    """rodrigues_contour_degrees shares each integrand call among the
+    degrees still running; every result is its single call's, bit for bit,
+    and an error is the one the first failing single call raises."""
+
+    def test_criterion_four_grid(self):
+        ns = [2 ** k for k in range(3, 13)]
+        for alpha, a, b, theta in itertools.product(
+                (1.0, 2.0, 4.0), (0.0, 0.5), (0.0, -0.3),
+                (PI / 4, 2 * PI / 5, PI / 2)):
+            p = Params(alpha, a, b)
+            assert batch(p, ns, theta, 1e-10, True) \
+                == singles(p, ns, theta, 1e-10, True), (p, theta)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-12])
+    def test_seeded_sweep(self, tol):
+        # mixed, unsorted and repeated degrees, scaled or not, with stops
+        # inside the first batch and after it, and at tol 1e-12 some caps
+        rng = random.Random(f"degree batch {tol}")
+        results = errors = 0
+        for p, n, theta, scaled in first_batch_cases(tol, count=6):
+            ns = [n] + rng.sample(range(1, 41), 3) + [2 ** rng.randint(6, 12), n]
+            expected = singles(p, ns, theta, tol, scaled)
+            assert batch(p, ns, theta, tol, scaled) == expected, (p, ns, theta)
+            if isinstance(expected, list):
+                results += len(expected)
+            else:
+                errors += 1
+        assert results >= 60 and (errors > 0 or tol > 1e-12)
+
+    def test_one_degree_and_none(self):
+        p = Params(2.0, 0.5, -0.3)
+        assert batch(p, [512], PI / 3, 1e-9, True) == singles(
+            p, [512], PI / 3, 1e-9, True)
+        assert rodrigues_contour_degrees(p, [], PI / 3) == []
+
+    def test_cap_of_one_degree(self):
+        # at tol 1e-12 the floor of n = 4096 stays above the tolerance: that
+        # degree runs into the cap while the smaller ones converge
+        p, ns = Params(2.0, 0.5, -0.3), [8, 64, 4096, 512]
+        expected = singles(p, ns, PI / 3, 1e-12, True)
+        assert expected[0] is ConvergenceError
+        assert "integrand evaluations" in expected[1]
+        assert batch(p, ns, PI / 3, 1e-12, True) == expected
+        assert batch(p, [8, 64, 512], PI / 3, 1e-12, True) == singles(
+            p, [8, 64, 512], PI / 3, 1e-12, True)
+
+    def test_degree_errors_in_order(self):
+        # an invalid degree raises only when no earlier degree fails first
+        p = Params(0.5, 0.0, 0.0)
+        for ns in ([8, 0, 16], [8, 2.5], [2048, 0], [0, 2048], [8, 2 ** 1100]):
+            expected = singles(p, ns, 1.0, 1e-10)
+            assert isinstance(expected, tuple)
+            assert batch(p, ns, 1.0, 1e-10) == expected, ns
+        assert batch(p, [2048, 0], 1.0, 1e-10)[0] is ScopeError
+        assert batch(p, [0, 2048], 1.0, 1e-10)[0] is InputError
+
+    def test_shared_errors(self):
+        # the theta, tol, saddle-data and (1+alpha)^2 checks come after each
+        # degree's own checks; every ScopeError of the single call
+        for p, ns, theta, tol in [
+                (Params(2.0, 0.0, 0.0), [8, 16], 0.0, 1e-10),
+                (Params(2.0, 0.0, 0.0), [0, 16], 0.0, 1e-10),
+                (Params(2.0, 0.0, 0.0), [8, 16], 1.0, 0.0),
+                (Params(1e225, 0.0, 0.0), [3, 5], 1e-300, 1e-10),
+                (Params(1e175, 0.0, 0.0), [3, 5], 3.141592653588793, 1e-10),
+                (Params(0.5, -0.999, 40.0), [3, 5], 1e-300, 1e-10),
+                (Params(0.5, 0.0, 0.0), [8, 512, 2048], 1.0, 1e-10)]:
+            expected = singles(p, ns, theta, tol)
+            assert isinstance(expected, tuple), (p, ns, theta, tol)
+            assert batch(p, ns, theta, tol) == expected, (p, ns, theta, tol)
+
+    def test_pole_hit(self, monkeypatch):
+        # planted as in the phase tests: at alpha = 1, big = s(theta) and
+        # z = 0 make den exactly 0 at the last node of each integrand call
+        p, theta = Params(1.0, 0.0, 0.0), 1.0
+        frame, root = phase._frame, phase.theta_major(1.0, theta)
+
+        def at_pole(alpha, phi):
+            fr = frame(alpha, phi)
+            if phi.size > 1:
+                fr.big[-1], fr.z[-1] = root * root, 0.0
+            return fr
+
+        monkeypatch.setattr(phase, "_frame", at_pole)
+        expected = singles(p, [8, 64], theta, 1e-9)
+        assert expected == (ConvergenceError,
+                            "integrand pole hit (xi(phi) == t(theta))")
+        assert batch(p, [8, 64], theta, 1e-9) == expected
+
+    def test_non_finite_value_of_one_degree(self, monkeypatch):
+        # f - f0 = 1/4 at one node: e^{n/4} overflows from n = 2840 on, so
+        # only the largest degree sees a non-finite value
+        inner = phase._f_values
+
+        def spoiled(alpha, fr, den):
+            f = inner(alpha, fr, den)
+            f.flat[f.size // 2] = f0 + 0.25
+            return f
+
+        p, theta = Params(2.0, 0.5, -0.3), PI / 3
+        f0 = phase.saddle_data(p, theta).f_saddle
+        monkeypatch.setattr(phase, "_f_values", spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = singles(p, [8, 4096, 64], theta, 1e-9, True)
+            assert expected == (ConvergenceError, "rodrigues_contour_eval: "
+                                "non-finite integrand value")
+            assert batch(p, [8, 4096, 64], theta, 1e-9, True) == expected
+            assert batch(p, [8, 64], theta, 1e-9, True) == singles(
+                p, [8, 64], theta, 1e-9, True)
+
+    def test_one_integrand_call_per_batch_of_levels(self, monkeypatch):
+        # the degrees share every integrand call: the nodes evaluated are
+        # those of the degree that runs longest
+        calls = []
+        inner = quadrature.contour_integrand
+
+        def counted(p, theta, phi, n, f0):
+            calls.append((np.size(phi), list(n)))
+            return inner(p, theta, phi, n, f0)
+
+        monkeypatch.setattr(quadrature, "contour_integrand", counted)
+        results = rodrigues_contour_degrees(Params(2.0, 0.5, -0.3),
+                                            [8, 512, 4096], PI / 3, 1e-9,
+                                            scaled=True)
+        assert sum(size for size, _ in calls) == max(r.evaluations
+                                                     for r in results)
+        assert calls[0][1] == [8, 512, 4096]
 
 
 def assert_within_estimate(p, n, theta, tol):

@@ -3,10 +3,11 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from biortho import phase, verify
-from biortho.polys import Params
+from biortho.polys import Params, eval_biortho_grid, jacobi_recurrence_grid
 from biortho.verify import (
     biorthogonality_check,
     claim_check,
@@ -206,6 +207,24 @@ class TestReduction:
         rec = reduction_check(a, b, n_max, tol)
         assert rec.status == "pass"
         assert rec.witness["worst_rel"] <= tol
+
+    @pytest.mark.parametrize("a, b, n_max", [
+        (0.0, 0.0, 20), (-0.5, 1.7, 20), (0.5, -0.3, 30), (1.25, -0.5, 0),
+    ])
+    def test_witness_of_the_degree_by_degree_loop(self, a, b, n_max):
+        # one pass over the degrees and one recurrence pass give the witness
+        # of one grid call and one recurrence call per degree
+        xs = np.linspace(-1.0, 1.0, 41)
+        worst, worst_at = -1.0, None
+        for n in range(n_max + 1):
+            vals, _ = eval_biortho_grid(Params(1.0, a, b), n, xs)
+            ref = jacobi_recurrence_grid(a, b, n, xs)
+            rel = np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))
+            idx = int(np.argmax(rel))
+            if rel[idx] > worst:
+                worst, worst_at = float(rel[idx]), {"n": n, "x": float(xs[idx])}
+        assert repr(reduction_check(a, b, n_max).witness) == repr(
+            {"worst_rel": worst, "worst_at": worst_at})
 
 
 class TestSuiteRunner:
