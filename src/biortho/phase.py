@@ -396,9 +396,9 @@ def contour_integrand(p: Params, theta: float, phi, n, f0: complex):
 
     phi is a float or an array of angles in (0, pi), as for f_phase; the
     contour oracle passes every node of one refinement level at once.  n is
-    a degree, or a list of degrees, which adds a last axis to the values,
-    one column per degree.  What f and g share, F = f - f0 and g are built
-    once for all the degrees, and each value equals
+    a degree, or a list of degrees, which adds a first axis to the values,
+    one C-ordered row per degree.  What f and g share, F = f - f0 and g are
+    built once for all the degrees, and each value equals
     np.exp(n * (f_phase - f0)) * g_amplitude bit for bit.  Where
     n Re(f - f0) < DEAD_LOG the exponential underflows: the value is exactly
     0 and g is not computed.  Overflow and invalid operations in f, the
@@ -406,25 +406,24 @@ def contour_integrand(p: Params, theta: float, phi, n, f0: complex):
     caller to check; ScopeError where the theta data leave the double range.
     """
     many = isinstance(n, (list, tuple, np.ndarray))
-    ns = n if many else [n]
 
     def values():
         at, fr, e, den = _integrand_parts(p, theta, phi)
         f = _f_values(p.alpha, fr, den) - f0
-        ws = [n_k * f for n_k in ns]
-        lives = [~(w.real < DEAD_LOG) for w in ws]  # NaN stays live
-        # g at the nodes live for some degree: those of the smallest, as a
-        # larger degree only takes n Re(f - f0) further below 0
-        union = lives[0] if len(lives) == 1 else np.logical_or.reduce(lives)
+        w = np.multiply.outer(np.array(n if many else [n], float), f)
+        live = ~(w.real < DEAD_LOG)  # NaN stays live
+        # g once, at the nodes live for some degree
+        union = live[0] if len(w) == 1 else live.any(axis=0)
         g = _g_values(p, at, _Frame(*(q[union] for q in fr)), e[union],
                       den[union])
-        kept = np.zeros((len(ns),) + fr.phi.shape, dtype=complex)
-        for row, w, live in zip(kept, ws, lives):
-            row[live] = np.exp(w[live]) * (g if live is union else g[live[union]])
+        if len(w) > 1:  # g at each row's live nodes
+            g = np.broadcast_to(g, (len(w), g.size))[live[:, union]]
+        kept = np.zeros(w.shape, dtype=complex)
+        kept[live] = np.exp(w[live]) * g
         return kept
     kept = _in_range("contour_integrand", values, "any", alpha=p.alpha,
                      theta=theta)
-    return kept.transpose(*range(1, kept.ndim), 0) if many else _like(kept[0], phi)
+    return kept if many else _like(kept[0], phi)
 
 
 def t_modulus(p: Params, theta: float, phi):

@@ -26,9 +26,10 @@ integrand values themselves can resolve.
 
 rodrigues_contour_degrees: the same rule for several degrees at one
 (alpha, a, b, theta) in one pass.  The nodes do not depend on n, so each
-integrand call builds the frame, f - f0 and g once for every degree still
-running, and each degree keeps the sums, floor, stop test and evaluation cap
-of its own call: rodrigues_contour_eval is its one-degree case.
+integrand call builds the frame, f - f0 and g once and returns one row per
+degree still running.  Each level takes two row sums, and each degree keeps
+the sums, floor, stop test and evaluation cap of its own call in scalar
+arithmetic: rodrigues_contour_eval is its one-row case.
 """
 
 from __future__ import annotations
@@ -259,52 +260,23 @@ def _contour_nodes(theta: float, levels: range):
     return phi[keep], (r * unit_weight)[keep], bounds.tolist()
 
 
-class _Degree:
-    """One degree of a contour pass: its own call's stop limit (tol times
-    the scale prior), rounding floor, sums, stop test and result."""
-
-    __slots__ = ("index", "n", "exponent", "limit", "floor_factor", "total",
-                 "l1_total", "err_total")
-
-    def __init__(self, index: int, n: int, sd, tol: float):
-        self.index, self.n, self.exponent = index, n, n * sd.f_saddle.real
-        # prior for the peak contribution: |g(theta)| times the Gaussian width
-        gauss_width = math.sqrt(2.0 * _PI / (n * max(abs(sd.f_second), 1e-12)))
-        self.limit = tol * (abs(sd.g_saddle) * min(gauss_width, _PI))
-        # Rounding floor: each value has a relative error of about (n+1) eps
-        # (n from the exponent) times 1 + cond_scale / (pi - phi).
-        self.floor_factor = 2.0 * (n + 1) * _EPS
-        self.total, self.l1_total = 0j, 0.0
-
-    def add_level(self, h: float, weight, values, cond_weight) -> bool:
-        """Adds the values of the level of step h; whether the stop test
-        passes (never at level 0, h = 1)."""
-        if not np.isfinite(values).all():
-            raise ConvergenceError(
-                "rodrigues_contour_eval: non-finite integrand value")
-        contrib = weight * values
-        rounding = np.abs(contrib) * cond_weight
-        prev, self.total = self.total, 0.5 * self.total + h * complex(np.sum(contrib))
-        self.l1_total = 0.5 * self.l1_total + h * float(np.sum(rounding))
-        self.err_total = max(abs(self.total - prev),
-                             self.floor_factor * self.l1_total)
-        return h < 1.0 and self.err_total <= self.limit
-
-    def result(self, theta: float, scaled: bool, evaluations: int) -> QuadResult:
-        n = self.n
-        if self.l1_total == 0.0:
-            raise ScopeError(f"rodrigues_contour_eval: every integrand value "
-                             f"underflows at n={n}, theta={theta!r}")
-        # P_n = rho^n * Re{e^{i n theta} J / (pi i)} with J the scaled integral
-        phase_factor = cmath.exp(1j * n * theta)
-        scaled_value = (phase_factor * self.total / (1j * _PI)).real
-        scaled_err = self.err_total / _PI
-        if scaled:
-            return QuadResult(scaled_value, scaled_err, evaluations)
-        what, hint = "rodrigues_contour_eval", "; scaled=True gives P_n / rho^n"
-        return QuadResult(times_exp(scaled_value, self.exponent, what, hint),
-                          times_exp(scaled_err, self.exponent, what, hint),
-                          evaluations)
+def _contour_result(n: int, total: complex, err_total: float,
+                    l1_total: float, f0: complex, theta: float, scaled: bool,
+                    evaluations: int) -> QuadResult:
+    """The QuadResult of degree n from its scaled integral total."""
+    if l1_total == 0.0:
+        raise ScopeError(f"rodrigues_contour_eval: every integrand value "
+                         f"underflows at n={n}, theta={theta!r}")
+    # P_n = rho^n * Re{e^{i n theta} J / (pi i)} with J the scaled integral
+    phase_factor = cmath.exp(1j * n * theta)
+    scaled_value = (phase_factor * total / (1j * _PI)).real
+    scaled_err = err_total / _PI
+    if scaled:
+        return QuadResult(scaled_value, scaled_err, evaluations)
+    what, hint = "rodrigues_contour_eval", "; scaled=True gives P_n / rho^n"
+    exponent = n * f0.real
+    return QuadResult(times_exp(scaled_value, exponent, what, hint),
+                      times_exp(scaled_err, exponent, what, hint), evaluations)
 
 
 _FAILURES = (InputError, ScopeError, ConvergenceError)
@@ -314,19 +286,14 @@ def _contour_outcomes(p: Params, ns, theta: float, tol: float,
                       scaled: bool) -> list:
     """For each degree of ns, the QuadResult of its rodrigues_contour_eval
     call or the library error that the call raises, from one pass over the
-    levels: each integrand call serves every degree still running, and
+    levels: each integrand call gives one row per degree still running, and
     each degree keeps its own sums, floor, stop test and evaluation cap."""
     outcomes: list = [None] * len(ns)
-    threshold = max(1.0 - (p.a + 1.0) / p.alpha, -p.b)
-    valid = []
+    index, degrees = [], []
     for i, n in enumerate(ns):
         try:
-            n = check_degree(n, 1)
-            if n < threshold:
-                raise InputError(
-                    f"n={n} is below the integrand-boundedness threshold "
-                    f"max(1-(a+1)/alpha, -b) = {threshold:.3f}")
-            valid.append((i, n))
+            degrees.append(check_degree(n, 1))
+            index.append(i)
         except _FAILURES as exc:
             outcomes[i] = exc
     try:
@@ -342,10 +309,18 @@ def _contour_outcomes(p: Params, ns, theta: float, tol: float,
             raise ScopeError("rodrigues_contour_eval: (1+alpha)^2 overflows "
                              f"at alpha={p.alpha!r}") from None
     except _FAILURES as exc:
-        for i, _ in valid:
+        for i in index:
             outcomes[i] = exc
         return outcomes
-    running = [_Degree(i, n, sd, tol) for i, n in valid]
+    # Per degree: the stop limit, tol times a prior for the peak
+    # contribution (|g(theta)| times the Gaussian width), and the rounding
+    # floor's factor: each value has a relative error of about (n+1) eps
+    # (n from the exponent) times 1 + cond_scale / (pi - phi).
+    limits = [tol * (abs(sd.g_saddle) * min(math.sqrt(
+        2.0 * _PI / (n * max(abs(sd.f_second), 1e-12))), _PI)) for n in degrees]
+    floor_factors = [2.0 * (n + 1) * _EPS for n in degrees]
+    totals, l1_totals = [0j] * len(degrees), [0.0] * len(degrees)
+    running = list(range(len(degrees)))  # the degrees of the rows
 
     # The saddle splits the contour into [0, theta] and [theta, pi], which
     # puts the peak of e^{n(f-f0)} at an end of each half.  Level 0 has
@@ -365,30 +340,55 @@ def _contour_outcomes(p: Params, ns, theta: float, tol: float,
                 raise ConvergenceError(
                     f"rodrigues_contour_eval: over {_MAX_EVALUATIONS} "
                     f"integrand evaluations at tol {tol:.1e}")
-            values = contour_integrand(p, theta, phi, [d.n for d in running],
+            values = contour_integrand(p, theta, phi,
+                                       [degrees[j] for j in running],
                                        sd.f_saddle)
         except _FAILURES as exc:
-            for d in running:
-                outcomes[d.index] = exc
+            for j in running:
+                outcomes[index[j]] = exc
             break
         evaluations += phi.size
-        columns = [(d, values[:, column]) for column, d in enumerate(running)]
+        # a non-finite value fails its degree only in a level the rule uses:
+        # note each row's first one, and zero them for the products
+        finite = np.isfinite(values)
+        first_bad = [phi.size] * len(running)
+        if not finite.all():
+            first_bad = np.where(finite.all(axis=1), phi.size,
+                                 finite.argmin(axis=1)).tolist()
+            values[~finite] = 0.0
+        # a product that overflows is inf without a warning: it reaches the
+        # sums only in a level the rule uses
+        with np.errstate(over="ignore"):
+            contrib = weight * values
+            rounding = np.abs(contrib) * (1.0 + cond_scale / (_PI - phi))
         for lo, hi in itertools.pairwise(bounds):
-            cond_weight = 1.0 + cond_scale / (_PI - phi[lo:hi])
-            finished = False
-            for d, column in columns:
+            sums = np.add.reduce(contrib[:, lo:hi], axis=-1).tolist()
+            l1_sums = np.add.reduce(rounding[:, lo:hi], axis=-1).tolist()
+            keep = []
+            for row, j in enumerate(running):
                 try:
-                    if d.add_level(h, weight[lo:hi], column[lo:hi], cond_weight):
-                        outcomes[d.index] = d.result(theta, scaled, evaluations)
-                        finished = True
+                    if first_bad[row] < hi:
+                        raise ConvergenceError("rodrigues_contour_eval: "
+                                               "non-finite integrand value")
+                    prev, totals[j] = totals[j], 0.5 * totals[j] + h * sums[row]
+                    l1_totals[j] = 0.5 * l1_totals[j] + h * l1_sums[row]
+                    err_total = max(abs(totals[j] - prev),
+                                    floor_factors[j] * l1_totals[j])
+                    if not (h < 1.0 and err_total <= limits[j]):
+                        keep.append(row)
+                        continue
+                    outcomes[index[j]] = _contour_result(
+                        degrees[j], totals[j], err_total, l1_totals[j],
+                        sd.f_saddle, theta, scaled, evaluations)
                 except _FAILURES as exc:
-                    outcomes[d.index], finished = exc, True
+                    outcomes[index[j]] = exc
             h *= 0.5
-            if finished:
-                columns = [(d, c) for d, c in columns if outcomes[d.index] is None]
-                if not columns:
+            if len(keep) < len(running):  # drop the finished rows
+                running = [running[row] for row in keep]
+                first_bad = [first_bad[row] for row in keep]
+                contrib, rounding = contrib[keep], rounding[keep]
+                if not running:
                     break
-        running = [d for d, _ in columns]
     return outcomes
 
 
@@ -425,13 +425,12 @@ def rodrigues_contour_eval(p: Params, n: int, theta: float,
     stops before level 4 reports all 212-214 nodes of the first batch.  It
     is the one-degree case of rodrigues_contour_degrees.
 
-    Requires n >= max(1 - (a+1)/alpha, -b) (integrand boundedness at the
-    branch points) and n >= 1.  Raises ConvergenceError when the next
-    integrand call would take the call over _MAX_EVALUATIONS evaluations (a
-    tol below the rounding floor ends there) or when an integrand value of a
-    level the rule uses is not finite or a node of an integrand call, used
-    or not, hits the integrand's pole, and ScopeError when every integrand
-    value underflows or when the saddle data, (1+alpha)^2 or, with
-    scaled=False, rho^n, the value or its error estimate leave the range.
+    Requires n >= 1.  Raises ConvergenceError when the next integrand call
+    would take the call over _MAX_EVALUATIONS evaluations (a tol below the
+    rounding floor ends there) or when an integrand value of a level the
+    rule uses is not finite or a node of an integrand call, used or not,
+    hits the integrand's pole, and ScopeError when every integrand value
+    underflows or when the saddle data, (1+alpha)^2 or, with scaled=False,
+    rho^n, the value or its error estimate leave the range.
     """
     return rodrigues_contour_degrees(p, [n], theta, tol, scaled=scaled)[0]

@@ -13,6 +13,7 @@ from biortho.errors import ConvergenceError, InputError, ScopeError
 
 PI = math.pi
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_all_seed7.jsonl"
+GOLDEN_TABLE = Path(__file__).parent / "data" / "table_contour_a2.csv"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -323,6 +324,19 @@ class TestTable:
                 assert reference == pytest.approx(
                     scaled_ref * 10.0 ** log10_rho_n, rel=1e-12)
         assert float(rows[-2][1]) == 0.0 and float(rows[-2][8]) < -330.0
+
+    def test_contour_table_matches_golden_bytes(self, capsys):
+        """The multi-degree contour pass end to end, n = 8..4096: the bytes
+        of tests/data/table_contour_a2.csv.  Its last digits depend on the
+        libm and on numpy's SIMD kernels, as for the verify golden file;
+        regenerate it with `python -m biortho.cli table --alpha 2 --a 0.5
+        --b -0.3 --theta 1.0471975511965976 --n-dyadic 3..12 --reference
+        contour` only together with a note of every value that moved."""
+        code, out, _ = run(capsys, "table", "--alpha", "2", "--a", "0.5",
+                           "--b", "-0.3", "--theta", "1.0471975511965976",
+                           "--n-dyadic", "3..12", "--reference", "contour")
+        assert code == 0
+        assert out.encode() == GOLDEN_TABLE.read_bytes()
 
     def test_alpha_two_slope(self, capsys):
         code, out, _ = run(capsys, "table", "--alpha", "2", "--a", "0",

@@ -576,8 +576,8 @@ class TestContourIntegrand:
         assert live_nodes > 0 and dead_nodes > 0
 
     def test_degree_list_gives_each_single_call(self):
-        # a list of degrees adds a last axis, one column per degree, each
-        # bit for bit the call at that degree alone, in any order
+        # a list of degrees adds a first axis, one row per degree, each bit
+        # for bit the call at that degree alone, in any order
         rng = random.Random(31)
         for _ in range(30):
             p = Params(rng.choice([1.0, 2.0, 4.0, rng.uniform(0.3, 5.0)]),
@@ -588,10 +588,10 @@ class TestContourIntegrand:
             phis = np.array([1e-12, PI - 1e-12, theta] + [
                 rng.uniform(1e-9, PI - 1e-9) for _ in range(21)]).reshape(3, 8)
             values = phase.contour_integrand(p, theta, phis, ns, f0)
-            assert values.shape == phis.shape + (len(ns),)
+            assert values.shape == (len(ns),) + phis.shape
             for k, n in enumerate(ns):
                 single = phase.contour_integrand(p, theta, phis, n, f0)
-                assert values[..., k].tobytes() == single.tobytes(), (p, n)
+                assert values[k].tobytes() == single.tobytes(), (p, n)
 
 
 class TestPhaseDerivative:

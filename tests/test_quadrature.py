@@ -319,9 +319,9 @@ class TestContourRule:
         scaled = rodrigues_contour_eval(p, n, theta, 1e-10, scaled=True).value
         assert plain == pytest.approx(rho ** n * scaled, rel=1e-13)
 
-    def test_threshold_rejects_small_n(self):
-        # a = -0.9, alpha = 4 puts the boundedness threshold near 0.975;
-        # b = -0.9 pushes it to 0.9, so n = 0 invalid but n = 1 fine
+    def test_check_degree_rejects_n_zero(self):
+        # every degree must be an integer >= 1, whatever (alpha, a, b): n = 0
+        # is an InputError, and n = 1 runs even at a = -0.99
         with pytest.raises(ValueError):
             rodrigues_contour_eval(Params(4.0, -0.9, -0.9), 0, 1.0)
         p = Params(4.0, -0.99, 0.0)
@@ -469,18 +469,13 @@ def first_batch_cases(tol, count=10):
     scaled, theta near 0 and pi, and b near -1."""
     rng = random.Random(f"first batch {tol}")
 
-    def n_min(alpha, a, b):
-        return max(1, math.ceil(max(1.0 - (a + 1.0) / alpha, -b)))
-
     cases = []
     for _ in range(count):
-        alpha, a, b = rng.choice(CRIT3_PARAMS)
-        cases.append((Params(alpha, a, b), rng.randint(n_min(alpha, a, b), 40),
+        cases.append((Params(*rng.choice(CRIT3_PARAMS)), rng.randint(1, 40),
                       rng.choice(CRIT3_THETAS), False))
         cases.append((Params(*rng.choice(CRIT3_PARAMS)), 2 ** rng.randint(6, 12),
                       rng.choice(CRIT3_THETAS), True))
-        alpha, a, b = rng.choice(CRIT3_PARAMS)
-        cases.append((Params(alpha, a, b), rng.randint(n_min(alpha, a, b), 40),
+        cases.append((Params(*rng.choice(CRIT3_PARAMS)), rng.randint(1, 40),
                       rng.choice((1e-3, 0.05, PI - 0.05, PI - 1e-3)),
                       rng.random() < 0.5))
         p = Params(rng.choice((1.0, 2.0, 4.0)), rng.choice((-0.5, 0.0, 1.2)),
@@ -522,11 +517,18 @@ class TestFirstBatch:
         p, n, theta = Params(2.0, 0.5, -0.3), 20, PI / 3
         clean = rodrigues_contour_eval(p, n, theta, 1e-2)
         assert reference_contour(p, n, theta, 1e-2, False)[2] < 4
-        inner = quadrature.contour_integrand
+        # in a batch, a non-finite value of the one-level call of level 6,
+        # in its middle row (n = 4096), fails that degree alone; n = 20
+        # stops at level 5, before that call
+        ns = [20, 512, 4096, 1024]
+        alone = [outcome(lambda: rodrigues_contour_eval(
+            p, n_k, theta, 1e-9, scaled=True)) for n_k in ns]
+        assert [one[0][2] for one in alone] == [426, 852, 852, 852]
+        inner, calls = quadrature.contour_integrand, []
 
         def spoiled(p, theta, phi, n, f0):
             values = inner(p, theta, phi, n, f0)
-            values[-1] = complex(math.nan, 0.0)
+            values[..., -1] = complex(math.nan, 0.0)
             return values
 
         monkeypatch.setattr(quadrature, "contour_integrand", spoiled)
@@ -535,6 +537,36 @@ class TestFirstBatch:
             == (clean.value.hex(), clean.error_estimate.hex(), clean.evaluations)
         with pytest.raises(ConvergenceError, match="non-finite"):
             rodrigues_contour_eval(p, n, theta, 1e-9)
+
+        def spoiled_row(p, theta, phi, n, f0):
+            values = inner(p, theta, phi, n, f0)
+            calls.append(list(n))
+            if len(calls) == 3:
+                values[len(n) // 2, 0] = complex(math.nan, 0.0)
+            return values
+
+        monkeypatch.setattr(quadrature, "contour_integrand", spoiled_row)
+        outcomes = quadrature._contour_outcomes(p, ns, theta, 1e-9, True)
+        assert calls[2] == [512, 4096, 1024]
+        assert (type(outcomes[2]), str(outcomes[2])) == (
+            ConvergenceError, "rodrigues_contour_eval: non-finite integrand value")
+        assert [outcome(lambda: r) for k, r in enumerate(outcomes) if k != 2] \
+            == [one for k, one in enumerate(alone) if k != 2]
+
+        # a row that stops early in a call leaves each later row its own
+        # first non-finite node: n = 20 stops at level 3, and n = 1024 runs
+        # into the last node of level 4, spoiled in its row only
+        def spoiled_last_row(p, theta, phi, n, f0):
+            values = inner(p, theta, phi, n, f0)
+            values[-1, -1] = complex(math.nan, 0.0)
+            return values
+
+        monkeypatch.setattr(quadrature, "contour_integrand", spoiled_last_row)
+        first, last = quadrature._contour_outcomes(p, [20, 1024], theta, 1e-2,
+                                                   False)
+        assert outcome(lambda: first) == outcome(lambda: clean)
+        assert (type(last), str(last)) == (
+            ConvergenceError, "rodrigues_contour_eval: non-finite integrand value")
 
 
 def outcome(call):
@@ -752,10 +784,9 @@ class TestContourAccuracy:
         points = []
         for alpha, a, b in itertools.product((1.0, 2.0, 4.0), (-0.5, 0.0, 1.2),
                                              (-0.5, 0.0, 1.2)):
-            n_min = max(1, math.ceil(max(1.0 - (a + 1.0) / alpha, -b)))
             points += [(Params(alpha, a, b), n, theta)
                        for theta in (PI / 4, PI / 2, 3 * PI / 4)
-                       for n in range(n_min, 41)]
+                       for n in range(1, 41)]
         checked = 0
         for p, n, theta in rng.sample(points, 260):
             x = phase.x_of_theta(p, theta)
